@@ -8,7 +8,10 @@ An expansion approximates a harmonic function as
 
 where for a disk component L_j = log|z - c_j| and T_j = (z - c_j)/r_j when the
 basis is scaled (plain z - c_j otherwise), and for a slit component L_j =
-log|w_j(z)| and T_j = w_j(z) with w_j the inverse slit map.  The outer block
+log(|w_j(z)|*|r_j|/2) and T_j = w_j(z) with w_j the inverse slit map and r_j
+the halfspan.  Far away w_j(z) ~ 2(z - c_j)/r_j, so every L_j behaves like
+log|z - c_j| there and C is the limit of u at infinity whenever the log
+coefficients cancel the source.  The outer block
 T_0 = (z - c_0)/r_0 uses positive powers.  The source term has a fixed unit
 coefficient and never enters the fitted columns.
 
@@ -31,6 +34,7 @@ from .geometry import (
     BoundaryComponent,
     DomainError,
     joukowski_inverse,
+    on_slit,
 )
 
 
@@ -114,6 +118,9 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, own_index:
     ncols = column_count(components, spec)
     A = np.empty((z.shape[0], ncols), dtype=float)
     A[:, 0] = 1.0
+    # Slit log columns are log(|w| |r|/2); the constant log(|r|/2) is added to
+    # the whole log block at once after the loop.
+    log_shift = np.zeros(len(inner))
 
     col = 1 + len(inner)
     for slot, j in enumerate(inner):
@@ -129,11 +136,13 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, own_index:
             else:
                 w = joukowski_inverse(comp.center, comp.halfspan, z)
             A[:, 1 + slot] = np.log(np.abs(w))
+            log_shift[slot] = math.log(abs(comp.halfspan) / 2.0)
             t = 1.0 / w
         p = _powers(t, n)
         A[:, col : col + 2 * n : 2] = p.real
         A[:, col + 1 : col + 2 * n : 2] = p.imag
         col += 2 * n
+    A[:, 1 : 1 + len(inner)] += log_shift
 
     oj = outer_index(components)
     if spec.outer_degree > 0:
@@ -155,7 +164,13 @@ def basis_row(z: complex, components, spec: ExpansionSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Expansion:
-    """A fitted expansion: coefficients plus the geometry they refer to."""
+    """A fitted expansion: coefficients plus the geometry they refer to.
+
+    ``constant`` is C in the module formula.  Disk and slit log columns both
+    behave like log|z - c_j| far away, so for an exterior problem whose log
+    coefficients sum to minus the source strength, C is the value u tends to
+    at infinity.
+    """
 
     components: tuple[BoundaryComponent, ...]
     spec: ExpansionSpec
@@ -223,6 +238,26 @@ def _check_not_at_source(exp: Expansion, z: np.ndarray) -> None:
         raise DomainError("the field is unbounded at the source point")
 
 
+def singular_mask(exp: Expansion, z) -> np.ndarray:
+    """True where the expansion is undefined: at the source, at an inner disk
+    center, or on a closed slit.
+
+    Points within rounding of a slit endpoint pass here; complex_derivative
+    still rejects them because f' is singular there.
+    """
+    z = np.asarray(z, dtype=complex)
+    bad = np.zeros(z.shape, dtype=bool)
+    if exp.source_strength != 0.0 and exp.source is not None:
+        bad |= z == exp.source
+    for j in inner_indices(exp.components):
+        comp = exp.components[j]
+        if comp.kind == DISK:
+            bad |= z == comp.center
+        else:
+            bad |= on_slit(comp.center, comp.halfspan, z)
+    return bad
+
+
 def eval_expansion(exp: Expansion, z):
     """Evaluate u at z (scalar or array); z must be off all slits and sources."""
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
@@ -235,12 +270,12 @@ def eval_expansion(exp: Expansion, z):
 
 
 def complex_derivative(exp: Expansion, z):
-    """f'(z) for the analytic completion f of the expansion (so grad u = conj f')."""
+    """f'(z) for the analytic completion f of the expansion (so grad u = conj f').
+
+    A scalar z gives a Python complex, an array an array.
+    """
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    if scalar:
-        _, fp = _scalar_u_fprime(exp, complex(z), need_u=False)
-        return fp
-    z = np.asarray(z, dtype=complex)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_not_at_source(exp, z)
     fp = np.zeros_like(z)
     if exp.source_strength != 0.0:
@@ -253,6 +288,8 @@ def complex_derivative(exp: Expansion, z):
         ab = np.array(exp.cos_coeffs[slot]) - 1j * np.array(exp.sin_coeffs[slot])
         if comp.kind == DISK:
             dz = z - comp.center
+            if np.any(dz == 0):
+                raise DomainError("expansion is singular at a component center")
             fp += d / dz
             if n:
                 scale = comp.radius if exp.spec.scaled else 1.0
@@ -282,81 +319,10 @@ def complex_derivative(exp: Expansion, z):
         # d/dz of t^k = k t^(k-1) / r0
         pm1 = np.concatenate([np.ones((z.shape[0], 1)), _powers(t, n - 1)], axis=1)
         fp += (pm1 @ (ks * ab)) / out.radius
-    return fp
+    return complex(fp[0]) if scalar else fp
 
 
 def eval_gradient(exp: Expansion, z):
     """grad u as a complex number (u_x + i u_y), via conj(f')."""
     fp = complex_derivative(exp, z)
     return np.conj(fp) if isinstance(fp, np.ndarray) else fp.conjugate()
-
-
-def _scalar_u_fprime(exp: Expansion, z: complex, need_u: bool = True):
-    """Scalar fast path evaluating u and f' together with plain complex math.
-
-    Streamline tracing calls this once per Runge-Kutta stage, so it avoids
-    numpy overhead on size-1 arrays.
-    """
-    u = 0.0
-    fp = 0.0 + 0.0j
-    if exp.source_strength != 0.0:
-        dz = z - exp.source
-        if dz == 0:
-            raise DomainError("the field is unbounded at the source point")
-        fp += exp.source_strength / dz
-        if need_u:
-            u += exp.source_strength * math.log(abs(dz))
-    if need_u:
-        u += exp.constant
-    slot = 0
-    for j, comp in enumerate(exp.components):
-        if comp.role != INNER:
-            continue
-        n = exp.spec.degrees[j]
-        d = exp.log_coeffs[slot]
-        a_row = exp.cos_coeffs[slot]
-        b_row = exp.sin_coeffs[slot]
-        if comp.kind == DISK:
-            dz = z - comp.center
-            if dz == 0:
-                raise DomainError("expansion is singular at a component center")
-            fp += d / dz
-            if need_u:
-                u += d * math.log(abs(dz))
-            t = (comp.radius / dz) if exp.spec.scaled else (1.0 / dz)
-            tk = 1.0 + 0.0j
-            for k in range(1, n + 1):
-                tk *= t
-                ab = a_row[k - 1] - 1j * b_row[k - 1]
-                fp += -k * ab * tk / dz
-                if need_u:
-                    u += a_row[k - 1] * tk.real + b_row[k - 1] * tk.imag
-        else:
-            w = joukowski_inverse(comp.center, comp.halfspan, z)
-            denom = 1.0 - 1.0 / (w * w)
-            if abs(denom) < 1e-13:
-                raise DomainError("derivative is singular at a slit endpoint")
-            wp = 2.0 / (comp.halfspan * denom)
-            fp += d * wp / w
-            if need_u:
-                u += d * math.log(abs(w))
-            t = 1.0 / w
-            tk = 1.0 + 0.0j
-            for k in range(1, n + 1):
-                tk *= t
-                ab = a_row[k - 1] - 1j * b_row[k - 1]
-                fp += -k * ab * tk * wp / w
-                if need_u:
-                    u += a_row[k - 1] * tk.real + b_row[k - 1] * tk.imag
-        slot += 1
-    if exp.spec.outer_degree > 0:
-        out = exp.components[outer_index(exp.components)]
-        t = (z - out.center) / out.radius
-        tk = 1.0 + 0.0j
-        for k in range(1, exp.spec.outer_degree + 1):
-            ab = exp.outer_cos[k - 1] - 1j * exp.outer_sin[k - 1]
-            fp += k * ab * tk / out.radius
-            tk *= t
-            if need_u:
-                u += exp.outer_cos[k - 1] * tk.real + exp.outer_sin[k - 1] * tk.imag
-    return u, fp

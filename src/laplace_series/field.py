@@ -3,9 +3,10 @@
 Streamlines integrate dz/dt = grad u / |grad u| with an embedded 2nd/3rd-order
 Runge-Kutta pair and a small step cap; large steps near slits risk hopping
 over the slit and picking the wrong branch, so steps that would cross a slit
-are rejected outright.  Equipotentials come from marching squares on a masked
-grid rather than ODE tracing, which sidesteps branch bookkeeping when the
-topology changes.
+are rejected outright.  All lines of a fan advance in lockstep, with one
+vectorized evaluation per stage for every live line.  Equipotentials come from
+marching squares on a masked grid rather than ODE tracing, which sidesteps
+branch bookkeeping when the topology changes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import _scalar_u_fprime, complex_derivative, eval_expansion
+from .basis import complex_derivative, eval_expansion, singular_mask
 from .geometry import (
     DISK,
     OUTER,
@@ -25,6 +26,7 @@ from .geometry import (
     contains,
     joukowski_forward,
     joukowski_inverse,
+    on_slit,
     segments_cross,
 )
 from .solver import Solution
@@ -89,144 +91,202 @@ def default_window(problem, pad: float = 1.6) -> tuple[float, float, float, floa
     return (cx - half, cx + half, cy - half, cy + half)
 
 
-def _in_window(window, z: complex) -> bool:
+def _in_window(window, z):
     x0, x1, y0, y1 = window
-    return x0 <= z.real <= x1 and y0 <= z.imag <= y1
+    return (x0 <= z.real) & (z.real <= x1) & (y0 <= z.imag) & (z.imag <= y1)
 
 
-def _near_component(problem, z: complex, delta: float):
-    """Index of a component whose boundary is within delta of z, else None.
+def _near_component(problem, z, delta: float):
+    """Index of the first component whose boundary is within delta of each z, else -1.
 
     Slits get a second proximity test through the preimage: the angle-plane
     coordinate log|w| vanishes on the slit and scales like distance/|halfspan|,
     so it catches approaches that Euclidean distance underestimates near the
     endpoints.
     """
+    near = np.full(z.shape, -1)
     for j, comp in enumerate(problem.components):
-        if boundary_distance(comp, z) < delta:
-            return j
+        free = np.flatnonzero(near < 0)
+        zf = z[free]
+        hit = boundary_distance(comp, zf) < delta
         if comp.kind == SLIT:
-            try:
-                w = joukowski_inverse(comp.center, comp.halfspan, z)
-            except DomainError:
-                return j
-            if math.log(abs(w)) < delta / abs(comp.halfspan):
-                return j
-    return None
+            hit |= on_slit(comp.center, comp.halfspan, zf)
+            rest = ~hit
+            w = joukowski_inverse(comp.center, comp.halfspan, zf[rest])
+            hit[rest] = np.log(np.abs(w)) < delta / abs(comp.halfspan)
+        near[free[hit]] = j
+    return near
 
 
-def _crossed_boundary(problem, a: complex, b: complex):
-    """Component whose boundary the step [a, b] jumps across, else None.
+def _crossed_boundary(problem, a, b):
+    """Index of the first component whose boundary each step [a, b] jumps
+    across, else -1.
 
     The expansion continues smoothly across every boundary (inside a disk it
     climbs toward the center singularities), so the integrator must not be
     allowed to ascend through; offending steps are rejected and shrunk until
     the proximity stop takes over.
     """
+    crossed = np.full(b.shape, -1)
     for j, comp in enumerate(problem.components):
         if comp.kind == SLIT:
-            if segments_cross(a, b, *comp.endpoints):
-                return j
+            hit = segments_cross(a, b, *comp.endpoints)
         elif comp.role == OUTER:
-            if abs(b - comp.center) >= comp.radius:
-                return j
-        elif contains(comp, b):
-            return j
-    return None
+            hit = np.abs(b - comp.center) >= comp.radius
+        else:
+            hit = contains(comp, b)
+        crossed[(crossed < 0) & hit] = j
+    return crossed
 
 
-def _outside_domain(problem, z: complex) -> bool:
+def _outside_domain(problem, z):
+    out = np.zeros(z.shape, dtype=bool)
     for comp in problem.components:
         if comp.role == OUTER:
-            if abs(z - comp.center) >= comp.radius:
-                return True
-        elif contains(comp, z):
-            return True
-    return False
+            out |= np.abs(z - comp.center) >= comp.radius
+        else:
+            out |= contains(comp, z)
+    return out
+
+
+# Per-line outcome of one Runge-Kutta stage.
+_OK, _UNDEFINED, _STAGNANT = 0, 1, 2
+
+
+def _directions(exp, z, status):
+    """Unit ascent directions conj(f')/|f'| at z for the lines whose status is _OK.
+
+    A point where the expansion is undefined marks its line _UNDEFINED and
+    |f'| < 1e-12 marks it _STAGNANT, so one line's failure leaves the others
+    running.  Lines that are not _OK get a zero direction.
+    """
+    k = np.zeros(z.shape, dtype=complex)
+    todo = np.flatnonzero(status == _OK)
+    bad = singular_mask(exp, z[todo])
+    status[todo[bad]] = _UNDEFINED
+    todo = todo[~bad]
+    if todo.size == 0:
+        return k
+    try:
+        fp = complex_derivative(exp, z[todo])
+    except DomainError:
+        # f' is singular within rounding of a slit endpoint; single out those lines.
+        fp = np.empty(todo.size, dtype=complex)
+        for n, i in enumerate(todo):
+            try:
+                fp[n] = complex_derivative(exp, z[i])
+            except DomainError:
+                fp[n] = np.nan
+        status[todo[np.isnan(fp)]] = _UNDEFINED
+    mag = np.abs(fp)
+    status[todo[mag < 1e-12]] = _STAGNANT
+    good = mag >= 1e-12
+    k[todo[good]] = np.conj(fp[good]) / mag[good]
+    return k
+
+
+def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polyline]:
+    """Climb the gradient from every seed in lockstep; one Polyline per seed.
+
+    Each pass makes one trial step on every live line: three vectorized f'
+    stages (the first stage reuses the direction at the current point) and one
+    vectorized u evaluation.  A line accepts its step only when the embedded
+    error estimate passes, u strictly increases, and the step does not jump
+    across a boundary; rejected steps shrink.  Lines stop independently at a
+    boundary, at the window edge, or at the step cap.
+    """
+    problem = solution.problem
+    exp = solution.expansion
+    opts = opts or TraceOptions()
+    window = opts.window or default_window(problem)
+    tol, h_min = opts.step_tol, opts.h_min
+    z = np.array(seeds, dtype=complex)
+    if np.any(_outside_domain(problem, z) | ~_in_window(window, z) | singular_mask(exp, z)):
+        raise ValueError("streamline seed lies outside the domain")
+    try:
+        u = eval_expansion(exp, z)
+        fp = complex_derivative(exp, z)
+    except DomainError:
+        raise ValueError("streamline seed lies outside the domain")
+
+    paths = [[p] for p in z.tolist()]
+    ends = [None] * z.size  # (termination, component_index, stagnated) per line
+    live = np.ones(z.size, dtype=bool)
+
+    def stop(lines, termination, stagnated, components=None):
+        if lines.size == 0:
+            return
+        for n, i in enumerate(lines.tolist()):
+            comp = None if components is None else int(components[n])
+            ends[i] = (termination, comp, stagnated)
+        live[lines] = False
+
+    mag = np.abs(fp)
+    k1 = np.conj(fp) / np.where(mag < 1e-12, 1.0, mag)
+    stop(np.flatnonzero(mag < 1e-12), STEP_LIMIT, True)
+    h = np.full(z.size, opts.h_max / 8.0)
+    steps = np.zeros(z.size, dtype=int)
+    while True:
+        stop(np.flatnonzero(live & (steps >= opts.max_steps)), STEP_LIMIT, False)
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        zi, hi, ka = z[idx], h[idx], k1[idx]
+        status = np.zeros(idx.size, dtype=np.int8)
+        kb = _directions(exp, zi + 0.5 * hi * ka, status)
+        kc = _directions(exp, zi + 0.75 * hi * kb, status)
+        z_new = zi + hi * (2.0 * ka + 3.0 * kb + 4.0 * kc) / 9.0
+        kd = _directions(exp, z_new, status)
+        err = np.abs(hi * (-5.0 * ka + 6.0 * kb + 8.0 * kc - 9.0 * kd) / 72.0)
+        ok = status == _OK
+        u_new = np.full(idx.size, np.nan)
+        if ok.any():
+            u_new[ok] = eval_expansion(exp, z_new[ok])
+
+        shrink = ok & (err > tol) & (hi > h_min)
+        factor = np.maximum(0.25, 0.9 * (tol / err[shrink]) ** (1.0 / 3.0))
+        h[idx[shrink]] = np.maximum(hi[shrink] * factor, h_min)
+
+        rest = ok & ~shrink
+        crossed = np.full(idx.size, -1)
+        crossed[rest] = _crossed_boundary(problem, zi[rest], z_new[rest])
+        cross = crossed >= 0
+        descend = rest & ~cross & (u_new <= u[idx])
+        tiny = hi <= 4.0 * h_min
+        undefined = status == _UNDEFINED
+        stop(idx[cross & tiny], HIT_BOUNDARY, False, crossed[cross & tiny])
+        stop(idx[(undefined | descend) & tiny], STEP_LIMIT, True)
+        stop(idx[status == _STAGNANT], STEP_LIMIT, True)
+        halve = (undefined | cross | descend) & ~tiny
+        h[idx[halve]] = np.maximum(hi[halve] / 2.0, h_min)
+
+        accept = rest & ~cross & ~descend
+        lines, za = idx[accept], z_new[accept]
+        z[lines], u[lines], k1[lines] = za, u_new[accept], kd[accept]
+        steps[lines] += 1
+        for i, p in zip(lines.tolist(), za.tolist()):
+            paths[i].append(p)
+        near = _near_component(problem, za, opts.delta_stop)
+        hit = near >= 0
+        stop(lines[hit], HIT_BOUNDARY, False, near[hit])
+        left = ~hit & ~_in_window(window, za)
+        stop(lines[left], LEFT_WINDOW, False)
+        go = ~hit & ~left
+        e = err[accept][go]
+        factor = np.full(e.shape, 4.0)
+        factor[e > 0] = np.minimum(4.0, 0.9 * (tol / e[e > 0]) ** (1.0 / 3.0))
+        h[lines[go]] = np.minimum(hi[accept][go] * factor, opts.h_max)
+    return [_polyline(p, *end, p[0], problem) for p, end in zip(paths, ends)]
 
 
 def trace_streamline(solution: Solution, z0: complex, opts: TraceOptions = None) -> Polyline:
     """Climb the gradient from z0 until a boundary, the window edge, or the step cap.
 
     Steps are accepted only when the embedded error estimate passes, u strictly
-    increases, and the step does not jump across a slit.
+    increases, and the step does not jump across a slit.  This is the one-seed
+    case of the lockstep tracer behind streamline_fan.
     """
-    problem = solution.problem
-    exp = solution.expansion
-    opts = opts or TraceOptions()
-    window = opts.window or default_window(problem)
-    z0 = complex(z0)
-    if _outside_domain(problem, z0) or not _in_window(window, z0):
-        raise ValueError("streamline seed lies outside the domain")
-
-    def field(z: complex) -> complex:
-        _, fp = _scalar_u_fprime(exp, z, need_u=False)
-        g = fp.conjugate()
-        mag = abs(g)
-        if mag < 1e-12:
-            raise _Stagnation()
-        return g / mag
-
-    points = [z0]
-    z = z0
-    try:
-        u_cur, fp = _scalar_u_fprime(exp, z)
-    except DomainError:
-        raise ValueError("streamline seed lies outside the domain")
-    if abs(fp) < 1e-12:
-        return _polyline(points, STEP_LIMIT, None, True, z0, problem)
-    h = opts.h_max / 8.0
-    steps = 0
-    while steps < opts.max_steps:
-        try:
-            k1 = field(z)
-            k2 = field(z + 0.5 * h * k1)
-            k3 = field(z + 0.75 * h * k2)
-            z_new = z + h * (2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0
-            k4 = field(z_new)
-            err = abs(h * (-5.0 * k1 + 6.0 * k2 + 8.0 * k3 - 9.0 * k4) / 72.0)
-            u_new, fp_new = _scalar_u_fprime(exp, z_new)
-        except _Stagnation:
-            return _polyline(points, STEP_LIMIT, None, True, z0, problem)
-        except DomainError:
-            if h <= 4.0 * opts.h_min:
-                return _polyline(points, STEP_LIMIT, None, True, z0, problem)
-            h = max(h / 2.0, opts.h_min)
-            continue
-        if err > opts.step_tol and h > opts.h_min:
-            h = max(h * max(0.25, 0.9 * (opts.step_tol / err) ** (1.0 / 3.0)), opts.h_min)
-            continue
-        crossed = _crossed_boundary(problem, z, z_new)
-        if crossed is not None:
-            if h <= 4.0 * opts.h_min:
-                return _polyline(points, HIT_BOUNDARY, crossed, False, z0, problem)
-            h = max(h / 2.0, opts.h_min)
-            continue
-        if u_new <= u_cur:
-            if h <= 4.0 * opts.h_min:
-                return _polyline(points, STEP_LIMIT, None, True, z0, problem)
-            h = max(h / 2.0, opts.h_min)
-            continue
-        z, u_cur = z_new, u_new
-        points.append(z)
-        steps += 1
-        near = _near_component(problem, z, opts.delta_stop)
-        if near is not None:
-            return _polyline(points, HIT_BOUNDARY, near, False, z0, problem)
-        if not _in_window(window, z):
-            return _polyline(points, LEFT_WINDOW, None, False, z0, problem)
-        if abs(fp_new) < 1e-12:
-            return _polyline(points, STEP_LIMIT, None, True, z0, problem)
-        if err > 0:
-            h = min(h * min(4.0, 0.9 * (opts.step_tol / err) ** (1.0 / 3.0)), opts.h_max)
-        else:
-            h = min(h * 4.0, opts.h_max)
-    points.append(z)
-    return _polyline(points, STEP_LIMIT, None, False, z0, problem)
-
-
-class _Stagnation(Exception):
-    pass
+    return _trace(solution, [complex(z0)], opts)[0]
 
 
 def _seed_angle(z0: complex, problem) -> float:
@@ -250,8 +310,8 @@ def _polyline(points, termination, component_index, stagnated, z0, problem) -> P
 
 
 def streamline_fan(solution: Solution, nseeds: int, eps: float, opts: TraceOptions = None):
-    """Trace nseeds streamlines from equally spaced points on an eps-circle
-    around the source."""
+    """Trace nseeds streamlines, in lockstep, from equally spaced points on an
+    eps-circle around the source."""
     problem = solution.problem
     if problem.source is None:
         raise ValueError("streamline fans need a problem with a source")
@@ -262,13 +322,10 @@ def streamline_fan(solution: Solution, nseeds: int, eps: float, opts: TraceOptio
     for j, comp in enumerate(problem.components):
         if comp.role != OUTER and boundary_distance(comp, problem.source) <= eps:
             raise ValueError(f"eps-circle around the source reaches components[{j}]")
-    lines = []
-    for k in range(nseeds):
-        angle = 2.0 * math.pi * k / nseeds
-        z0 = problem.source + eps * complex(math.cos(angle), math.sin(angle))
-        line = trace_streamline(solution, z0, opts)
-        lines.append(replace(line, value=angle))
-    return lines
+    angles = [2.0 * math.pi * k / nseeds for k in range(nseeds)]
+    seeds = [problem.source + eps * complex(math.cos(a), math.sin(a)) for a in angles]
+    lines = _trace(solution, seeds, opts)
+    return [replace(line, value=angle) for line, angle in zip(lines, angles)]
 
 
 # Marching-squares lookup: cell corners 0..3 are (i,j),(i+1,j),(i+1,j+1),(i,j+1);

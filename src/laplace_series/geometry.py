@@ -120,6 +120,15 @@ def _branch_sign(zc):
     return np.where(re > 0, 1.0, np.where(re < 0, -1.0, np.where(im > 0, 1.0, -1.0)))
 
 
+def _on_unit_slit(zc):
+    return (zc.imag == 0.0) & (np.abs(zc.real) <= 1.0)
+
+
+def on_slit(center: complex, halfspan: complex, z):
+    """True where z lies on the closed slit center + halfspan*[-1, 1]."""
+    return _on_unit_slit((np.asarray(z, dtype=complex) - center) / halfspan)
+
+
 def joukowski_inverse(center: complex, halfspan: complex, z):
     """Invert the slit map, returning the preimage with |w| > 1.
 
@@ -128,8 +137,7 @@ def joukowski_inverse(center: complex, halfspan: complex, z):
     """
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
     zc = (np.asarray(z, dtype=complex) - center) / halfspan
-    on_slit = (zc.imag == 0.0) & (np.abs(zc.real) <= 1.0)
-    if np.any(on_slit):
+    if np.any(_on_unit_slit(zc)):
         raise DomainError("inverse slit map is two-valued on the slit itself")
     t = zc * zc - 1.0
     # A -0.0 imaginary part would put points on the branch cut (the imaginary
@@ -190,8 +198,14 @@ def segment_distance(a: complex, b: complex, z) -> float:
     d = np.abs(a + t * ab - np.asarray(z, dtype=complex))
     return float(d) if np.isscalar(z) else d
 
-def segments_cross(a1: complex, a2: complex, b1: complex, b2: complex) -> bool:
-    """True when the closed segments [a1,a2] and [b1,b2] intersect."""
+def segments_cross(a1, a2, b1, b2):
+    """True where the closed segments [a1,a2] and [b1,b2] intersect.
+
+    Endpoints may be numpy arrays, so a batch of steps can be tested against
+    one slit at once.  Only operators that numbers and arrays share are used,
+    which keeps the scalar case in plain Python arithmetic (it runs once per
+    pair of components when a problem is validated).
+    """
 
     def orient(p, q, r):
         v = (q - p) * (r - p).conjugate()
@@ -201,17 +215,22 @@ def segments_cross(a1: complex, a2: complex, b1: complex, b2: complex) -> bool:
     d2 = orient(b1, b2, a2)
     d3 = orient(a1, a2, b1)
     d4 = orient(a1, a2, b2)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return True
+
+    def between(p, q, r):
+        # min(p, q) <= r <= max(p, q): p and q are neither both above nor both below r.
+        return ((p <= r) | (q <= r)) & ((p >= r) | (q >= r))
 
     def on_seg(p, q, r):
         return (
-            orient(p, q, r) == 0.0
-            and min(p.real, q.real) <= r.real <= max(p.real, q.real)
-            and min(p.imag, q.imag) <= r.imag <= max(p.imag, q.imag)
+            (orient(p, q, r) == 0.0)
+            & between(p.real, q.real, r.real)
+            & between(p.imag, q.imag, r.imag)
         )
 
-    return on_seg(b1, b2, a1) or on_seg(b1, b2, a2) or on_seg(a1, a2, b1) or on_seg(a1, a2, b2)
+    return (
+        ((d1 * d2 < 0) & (d3 * d4 < 0))
+        | on_seg(b1, b2, a1) | on_seg(b1, b2, a2) | on_seg(a1, a2, b1) | on_seg(a1, a2, b2)
+    )
 
 
 def boundary_distance(component: BoundaryComponent, z) -> float:
@@ -223,11 +242,16 @@ def boundary_distance(component: BoundaryComponent, z) -> float:
     return segment_distance(a, b, z)
 
 
-def contains(component: BoundaryComponent, z, tol: float = 0.0) -> bool:
-    """True when z lies strictly inside a disk (slits have empty interior)."""
-    if component.kind != DISK:
-        return False
-    return abs(complex(z) - component.center) < component.radius - tol
+def contains(component: BoundaryComponent, z, tol: float = 0.0):
+    """True where z lies strictly inside a disk (slits have empty interior).
+
+    A scalar z gives a bool, an array a boolean array.
+    """
+    if component.kind == DISK:
+        inside = np.abs(np.asarray(z, dtype=complex) - component.center) < component.radius - tol
+    else:
+        inside = np.zeros(np.shape(z), dtype=bool)
+    return bool(inside) if np.ndim(z) == 0 else inside
 
 
 def components_overlap(a: BoundaryComponent, b: BoundaryComponent) -> bool:

@@ -84,6 +84,17 @@ def test_eval_rejects_on_slit():
         eval_expansion(exp, 2.5 + 0j)
 
 
+def test_derivative_rejects_disk_center():
+    comps = (disk(1 + 1j, 0.5),)
+    exp = Expansion(
+        components=comps, spec=ExpansionSpec(degrees=(1,)), constant=0.0, log_coeffs=(-1.0,),
+        cos_coeffs=((0.3,),), sin_coeffs=((0.0,),), source=0j, source_strength=1.0,
+    )
+    with pytest.raises(DomainError):
+        complex_derivative(exp, 1 + 1j)
+    assert type(complex_derivative(exp, 3 + 0j)) is complex
+
+
 def test_gradient_of_pure_log():
     exp = source_only()
     assert abs(eval_gradient(exp, 2.0 + 0j) - 0.5) < 1e-15
@@ -142,8 +153,10 @@ def test_scaling_invariance():
     assert np.max(du) < 1e-9
 
 
-def test_far_field_approaches_constant(disk1, three_disks):
-    for sol in (disk1, three_disks):
+def test_far_field_approaches_constant(disk1, three_disks, slit1, two_slits):
+    # Slit log columns log(|w|*|halfspan|/2) behave like log|z - c| far away,
+    # so C is the limit at infinity for slits too.
+    for sol in (disk1, three_disks, slit1, two_slits):
         far = eval_expansion(sol.expansion, 1e6 + 0.4e6j)
         assert abs(far - sol.expansion.constant) < 1e-5
 

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -36,12 +37,20 @@ def test_level_five_count_and_length():
 
 
 def test_exact_ternary_endpoints():
-    # The level-m endpoints are exactly representable ternary rationals.
-    level = cantor_components(6)
-    left = level.slits[0]
-    assert left.center.real - left.halfspan.real == -1.5
-    step = Fraction(3, 2) * Fraction(1, 3) ** 5
-    assert abs((left.center.real + left.halfspan.real) - float(Fraction(-3, 2) + step)) < 1e-16
+    # The level-m endpoints are ternary rationals: piece k starts at
+    # -3/2 + 3 * sum_i 2 b_i 3^-i over the binary digits b_i of k and is
+    # 3^(1-m) long.  Stored as center and halfspan, every endpoint of every
+    # piece comes back within one rounding of the exact value.
+    m = 6
+    level = cantor_components(m)
+    assert level.slits[0].center.real - level.slits[0].halfspan.real == -1.5
+    for k, piece in enumerate(level.slits):
+        bits = [(k >> (m - i)) & 1 for i in range(1, m + 1)]
+        a = Fraction(-3, 2) + 3 * sum(Fraction(2 * b, 3**i) for i, b in enumerate(bits, 1))
+        b = a + Fraction(1, 3 ** (m - 1))
+        for got, want in zip(piece.endpoints, (float(a), float(b))):
+            assert abs(got.real - want) <= math.ulp(want)
+            assert got.imag == 0.0
 
 
 def test_level_bounds():

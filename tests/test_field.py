@@ -23,7 +23,17 @@ from laplace_series import (
     streamline_fan,
     trace_streamline,
 )
-from laplace_series.field import EQUIPOTENTIAL, HIT_BOUNDARY, LEFT_WINDOW, STEP_LIMIT
+from laplace_series import field
+from laplace_series.field import (
+    _OK,
+    _UNDEFINED,
+    EQUIPOTENTIAL,
+    HIT_BOUNDARY,
+    LEFT_WINDOW,
+    STEP_LIMIT,
+    _directions,
+)
+from laplace_series.geometry import segments_cross
 from laplace_series.solver import FitReport
 
 
@@ -103,6 +113,66 @@ def test_fan_argument_errors(disk1, pure_source):
     )
     with pytest.raises(ValueError):
         streamline_fan(sourceless, 4, 0.01)
+
+
+def test_step_cap_keeps_points_distinct(disk1):
+    line = trace_streamline(disk1, 0.05 * cmath.exp(0.4j), TraceOptions(max_steps=5))
+    assert line.termination == STEP_LIMIT
+    assert not line.stagnated
+    assert len(line.points) == 6
+    assert len(set(line.points)) == 6
+    u = eval_expansion(disk1.expansion, np.array(line.points))
+    assert np.all(np.diff(u) > 0)
+
+
+def test_slit_fan_matches_single_traces(slit1, monkeypatch):
+    # A loose step tolerance lets steps jump the slit, so lines of one batch
+    # take different numbers of reject-and-halve passes; each must still
+    # follow the same path as when traced on its own.
+    crossed = []
+    crossed_boundary = field._crossed_boundary
+
+    def counting(problem, a, b):
+        hit = crossed_boundary(problem, a, b)
+        crossed.append(int(np.sum(hit >= 0)))
+        return hit
+
+    opts = TraceOptions(h_max=0.2, step_tol=1e-2)
+    monkeypatch.setattr(field, "_crossed_boundary", counting)
+    fan = streamline_fan(slit1, 32, 0.01, opts)
+    monkeypatch.undo()
+    assert sum(crossed) > 0
+    comp = slit1.problem.components[0]
+    a, b = comp.endpoints
+    for k, line in enumerate(fan):
+        pts = line.points
+        assert not any(segments_cross(p, q, a, b) for p, q in zip(pts, pts[1:]))
+        u = eval_expansion(slit1.expansion, np.array(pts))
+        assert np.all(np.diff(u) > 0)
+        seed = slit1.problem.source + 0.01 * cmath.exp(2j * math.pi * k / 32)
+        alone = trace_streamline(slit1, seed, opts)
+        assert (line.termination, line.component_index) == (alone.termination, alone.component_index)
+        assert len(line.points) == len(alone.points)
+        assert np.max(np.abs(np.array(pts) - np.array(alone.points))) <= 1e-12
+    assert {line.termination for line in fan} == {HIT_BOUNDARY, LEFT_WINDOW}
+
+
+def test_stage_failures_stay_on_their_line():
+    # Stage points on the slit, within rounding of its endpoint 3 (off the
+    # slit, but f' is singular there) and at the source mark only their own
+    # lines; the other lines get unit ascent directions.
+    exp = Expansion(
+        components=(slit(2.0, 1.0),), spec=ExpansionSpec(degrees=(2,)), constant=0.0,
+        log_coeffs=(-1.0,), cos_coeffs=((0.1, 0.0),), sin_coeffs=((0.0, 0.2),),
+        source=0j, source_strength=1.0,
+    )
+    z = np.array([2.5 + 0j, 0.5 + 0.5j, 3.0 + 1e-300j, 0j, -1.0 + 0j])
+    status = np.zeros(z.size, dtype=np.int8)
+    k = _directions(exp, z, status)
+    assert status.tolist() == [_UNDEFINED, _OK, _UNDEFINED, _UNDEFINED, _OK]
+    g = eval_gradient(exp, z[[1, 4]])
+    assert np.allclose(k[[1, 4]], g / np.abs(g), rtol=0, atol=1e-15)
+    assert np.all(k[[0, 2, 3]] == 0)
 
 
 def test_fan_fraction_matches_measure(disk1):

@@ -172,16 +172,25 @@ def test_flux_quantization(three_disks):
     assert abs(src - 2 * np.pi) < 1e-6 * 2 * np.pi
 
 
-def test_convergence_one_digit_per_two_degrees():
-    prob = green_problem([disk(3 + 1j, 1.0)], source=0j)
-    ref = solve_problem(prob, default_spec(prob, degree=24))
-    u_ref = eval_expansion(ref.expansion, 2.0 + 0j)
-    errs = []
-    for degree in range(2, 15, 2):
+def test_fit_error_is_the_image_charge_tail():
+    # The exact Green function of the disk exterior is the source plus an
+    # image charge at c + a, a = -r^2/conj(c), whose log expands into the
+    # Laurent series -Re sum_k (a/(z-c))^k/k.  A degree-N fit reproduces the
+    # first N terms, so its error in the domain is exactly the closed-form
+    # tail Re sum_{k>N} -(a/(z-c))^k/k.
+    c, r = 3 + 1j, 1.0
+    prob = green_problem([disk(c, r)], source=0j)
+    pts = np.append(domain_points(prob, 50, seed=17, margin=0.1), 2.0 + 0j)
+    a = -r * r / np.conj(c)
+    exact = np.log(np.abs(pts)) - np.log(np.abs(pts - (c + a))) - np.log(abs(c) / r)
+    q = a / (pts - c)
+    for degree in range(2, 15):
         sol = solve_problem(prob, default_spec(prob, degree=degree))
-        errs.append(abs(eval_expansion(sol.expansion, 2.0 + 0j) - u_ref))
-    for worse, better in zip(errs, errs[1:]):
-        assert better <= worse / 10.0
+        k = np.arange(degree + 1, 400)[:, None]
+        tail = np.real(np.sum(-(q**k) / k, axis=0))
+        err = eval_expansion(sol.expansion, pts) - exact
+        assert np.max(np.abs(tail)) > 1e-11  # the comparison below is not vacuous
+        assert np.max(np.abs(err - tail)) <= 1e-12
 
 
 def test_refinement_stability(disk1):
