@@ -53,7 +53,7 @@ def main():
         outdir = pathlib.Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         sol = cantor_solution(args.draw)
-        window = (0.0, 1.8, -0.9, 0.9)  # right half-plane closeup
+        window = (-0.2, 1.8, -1.0, 1.0)  # right half-plane closeup around the source
         levels = [-0.05 * k for k in range(1, 16)]
         polys = extract_contours(sol, levels, window, 320)
         polys += streamline_fan(sol, 64, 0.05, TraceOptions(window=window))

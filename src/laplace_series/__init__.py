@@ -8,7 +8,6 @@ maximum-principle residual certificate.
 from .basis import (
     Expansion,
     ExpansionSpec,
-    basis_row,
     eval_expansion,
     eval_gradient,
 )
@@ -29,13 +28,11 @@ from .field import (
 )
 from .geometry import (
     BoundaryComponent,
-    BoundarySample,
     DomainError,
     GeometryError,
     disk,
     joukowski_forward,
     joukowski_inverse,
-    sample_boundary,
     slit,
 )
 from .solver import (
@@ -54,7 +51,6 @@ from .solver import (
 
 __all__ = [
     "BoundaryComponent",
-    "BoundarySample",
     "CantorLevel",
     "DomainError",
     "Expansion",
@@ -66,7 +62,6 @@ __all__ = [
     "Solution",
     "TraceOptions",
     "assemble_system",
-    "basis_row",
     "boundary_residual",
     "cantor_components",
     "cantor_inner_half_sum",
@@ -82,7 +77,6 @@ __all__ = [
     "harmonic_measures",
     "joukowski_forward",
     "joukowski_inverse",
-    "sample_boundary",
     "slit",
     "slit_side_measure",
     "solve_least_squares",

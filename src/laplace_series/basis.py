@@ -30,7 +30,6 @@ from .geometry import (
     DISK,
     INNER,
     OUTER,
-    SLIT,
     BoundaryComponent,
     DomainError,
     joukowski_inverse,
@@ -100,9 +99,33 @@ def column_labels(components, spec: ExpansionSpec) -> list[str]:
 
 def _powers(t: np.ndarray, n: int) -> np.ndarray:
     """Stack t, t^2, ..., t^n column-wise by cumulative products."""
-    if n == 0:
-        return np.empty((t.shape[0], 0), dtype=complex)
-    return np.multiply.accumulate(np.broadcast_to(t[:, None], (t.shape[0], n)), axis=1)
+    p = np.empty((t.shape[0], n), dtype=complex)
+    p[:] = t[:, None]
+    return np.multiply.accumulate(p, axis=1, out=p)
+
+
+def _local_coordinates(z, components, spec: ExpansionSpec, preimages=None, own_index=None):
+    """Yield (slot, j, zeta, log offset) for each inner component j.
+
+    zeta is the block's local variable: (z - c)/r for a scaled disk, z - c for
+    an unscaled one, and the inverse slit map w for a slit (``preimages``
+    replaces it on component ``own_index``).  The block's log column is
+    log|zeta| + offset, which is log|z - c| for a disk and log(|w| |r|/2) for a
+    slit, and its power columns are zeta^-k.
+    """
+    for slot, j in enumerate(inner_indices(components)):
+        comp = components[j]
+        if comp.kind == DISK:
+            if spec.scaled:
+                yield slot, j, (z - comp.center) / comp.radius, math.log(comp.radius)
+            else:
+                yield slot, j, z - comp.center, 0.0
+            continue
+        if j == own_index and preimages is not None:
+            w = np.asarray(preimages, dtype=complex)
+        else:
+            w = joukowski_inverse(comp.center, comp.halfspan, z)
+        yield slot, j, w, math.log(abs(comp.halfspan) / 2.0)
 
 
 def design_matrix(z, components, spec: ExpansionSpec, preimages=None, own_index: int = None):
@@ -114,35 +137,18 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, own_index:
     """
     validate_spec(components, spec)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    inner = inner_indices(components)
     ncols = column_count(components, spec)
     A = np.empty((z.shape[0], ncols), dtype=float)
     A[:, 0] = 1.0
-    # Slit log columns are log(|w| |r|/2); the constant log(|r|/2) is added to
-    # the whole log block at once after the loop.
-    log_shift = np.zeros(len(inner))
 
-    col = 1 + len(inner)
-    for slot, j in enumerate(inner):
-        comp = components[j]
+    col = 1 + len(inner_indices(components))
+    for slot, j, zeta, offset in _local_coordinates(z, components, spec, preimages, own_index):
         n = spec.degrees[j]
-        if comp.kind == DISK:
-            dz = z - comp.center
-            A[:, 1 + slot] = np.log(np.abs(dz))
-            t = (comp.radius / dz) if spec.scaled else (1.0 / dz)
-        else:
-            if j == own_index and preimages is not None:
-                w = np.asarray(preimages, dtype=complex)
-            else:
-                w = joukowski_inverse(comp.center, comp.halfspan, z)
-            A[:, 1 + slot] = np.log(np.abs(w))
-            log_shift[slot] = math.log(abs(comp.halfspan) / 2.0)
-            t = 1.0 / w
-        p = _powers(t, n)
+        A[:, 1 + slot] = np.log(np.abs(zeta)) + offset
+        p = _powers(1.0 / zeta, n)
         A[:, col : col + 2 * n : 2] = p.real
         A[:, col + 1 : col + 2 * n : 2] = p.imag
         col += 2 * n
-    A[:, 1 : 1 + len(inner)] += log_shift
 
     oj = outer_index(components)
     if spec.outer_degree > 0:
@@ -155,11 +161,6 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, own_index:
         col += 2 * spec.outer_degree
     assert col == ncols
     return A
-
-
-def basis_row(z: complex, components, spec: ExpansionSpec) -> np.ndarray:
-    """One collocation row at a single point off all slits."""
-    return design_matrix(z, components, spec)[0]
 
 
 @dataclass(frozen=True)
@@ -280,35 +281,23 @@ def complex_derivative(exp: Expansion, z):
     fp = np.zeros_like(z)
     if exp.source_strength != 0.0:
         fp += exp.source_strength / (z - exp.source)
-    inner = inner_indices(exp.components)
-    for slot, j in enumerate(inner):
+    # Block j contributes (d_j - sum_k k c_jk zeta^-k) zeta'/zeta, c_jk = a_jk - i b_jk.
+    for slot, j, zeta, _ in _local_coordinates(z, exp.components, exp.spec):
         comp = exp.components[j]
-        n = exp.spec.degrees[j]
-        d = exp.log_coeffs[slot]
-        ab = np.array(exp.cos_coeffs[slot]) - 1j * np.array(exp.sin_coeffs[slot])
         if comp.kind == DISK:
-            dz = z - comp.center
-            if np.any(dz == 0):
+            if np.any(zeta == 0):
                 raise DomainError("expansion is singular at a component center")
-            fp += d / dz
-            if n:
-                scale = comp.radius if exp.spec.scaled else 1.0
-                t = scale / dz
-                p = _powers(t, n)
-                ks = np.arange(1, n + 1)
-                # d/dz of scale^k (z-c)^-k = -k t^k / (z-c)
-                fp += (p @ (-(ks * ab))) / dz
+            dlog = 1.0 / (z - comp.center)
         else:
-            w = joukowski_inverse(comp.center, comp.halfspan, z)
-            denom = 1.0 - w**-2
+            denom = 1.0 - zeta**-2
             if np.any(np.abs(denom) < 1e-13):
                 raise DomainError("derivative is singular at a slit endpoint")
-            wp = 2.0 / (comp.halfspan * denom)
-            fp += d * wp / w
-            if n:
-                p = _powers(1.0 / w, n)
-                ks = np.arange(1, n + 1)
-                fp += (p @ (-(ks * ab))) * wp / w
+            dlog = 2.0 / (comp.halfspan * denom * zeta)
+        n = exp.spec.degrees[j]
+        kc = np.arange(1, n + 1) * (
+            np.array(exp.cos_coeffs[slot]) - 1j * np.array(exp.sin_coeffs[slot])
+        )
+        fp += (exp.log_coeffs[slot] - _powers(1.0 / zeta, n) @ kc) * dlog
     if exp.spec.outer_degree > 0:
         oj = outer_index(exp.components)
         out = exp.components[oj]

@@ -9,22 +9,21 @@ tiny degree already gives six digits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .basis import ExpansionSpec
-from .geometry import BoundaryComponent, joukowski_inverse, slit
+from .basis import ExpansionSpec, design_matrix
+from .geometry import BoundaryComponent, boundary_nodes, slit
 from .solver import (
-    _CONSTRAINT_STIFFNESS,
     Problem,
     Solution,
+    default_npts,
     green_problem,
     harmonic_measures,
-    solve_least_squares,
     solve_problem,
+    solve_with_log_sum,
 )
 
 MAX_LEVEL = 12
@@ -80,10 +79,13 @@ def cantor_solution(m: int) -> Solution:
 def cantor_measures(m: int, use_symmetry: bool = False) -> list[float]:
     """Harmonic measures of the right-half-plane slits, ordered inside out.
 
-    With ``use_symmetry`` the solve drops the odd basis terms (real-axis
-    symmetry), folds mirror-image slits into shared columns (even symmetry),
-    and samples only the upper side of the right-half slits; the result agrees
-    with the general path to solver accuracy.
+    With ``use_symmetry`` the solve keeps only the general system's rows on the
+    upper side of the right-half slits, and folds each mirror-image pair of
+    slits into shared columns: their log columns are added, their cosine
+    columns are added with sign (-1)^k because w(-z) = -w(z), and the sine
+    columns are dropped (u is even in y).  The mirror pairs' log coefficients
+    then sum to -1/2 exactly, and the result agrees with the general path to
+    solver accuracy.
     """
     if use_symmetry:
         return _symmetric_measures(m)
@@ -106,42 +108,30 @@ def cantor_inner_half_sum(m: int) -> float:
 
 
 def _symmetric_measures(m: int) -> list[float]:
-    level = cantor_components(m)
-    right = [c for c in level.slits if c.center.real > 0]
-    right.sort(key=lambda c: c.center.real)
-    npairs = len(right)
+    slits = cantor_components(m).slits
+    spec = cantor_spec(m)
+    n = len(slits)
+    right = np.arange(n // 2, n)
+    mirror = n - 1 - right
+    # Cosine columns of each slit in design_matrix order; w(-z) = -w(z) maps
+    # a mirror slit's zeta^-k onto (-1)^k times the right slit's.
     deg = cantor_degree(m)
-    nup = max(16, 4 * deg)
+    ks = np.arange(deg)
+    cos_right = 1 + n + 2 * deg * right[:, None] + 2 * ks
+    cos_mirror = 1 + n + 2 * deg * mirror[:, None] + 2 * ks
+    sign = (-1.0) ** (ks + 1)
 
-    rows = []
-    rhs = []
-    for comp in right:
-        theta = np.pi * (np.arange(nup) + 0.5) / nup
-        w_own = np.exp(1j * theta)
-        z = comp.center + comp.halfspan * (w_own + 1.0 / w_own) / 2.0
-        block = np.empty((nup, 1 + npairs * (1 + deg)))
-        block[:, 0] = 1.0
-        for p, sl in enumerate(right):
-            if sl is comp:
-                w_pos = w_own
-            else:
-                w_pos = joukowski_inverse(sl.center, sl.halfspan, z)
-            w_neg = joukowski_inverse(sl.center, sl.halfspan, -z)
-            block[:, 1 + p] = np.log(np.abs(w_pos)) + np.log(np.abs(w_neg))
-            pk_pos, pk_neg = 1.0 / w_pos, 1.0 / w_neg
-            tp, tn = np.ones_like(w_pos), np.ones_like(w_neg)
-            for k in range(1, deg + 1):
-                tp = tp * pk_pos
-                tn = tn * pk_neg
-                block[:, 1 + npairs + p * deg + (k - 1)] = tp.real + tn.real
-        rows.append(block)
-        rhs.append(-np.log(np.abs(z)))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    weight = _CONSTRAINT_STIFFNESS * math.sqrt(A.shape[0])
-    constraint = np.zeros(A.shape[1])
-    constraint[1 : 1 + npairs] = 2.0
-    A = np.vstack([A, weight * constraint])
-    b = np.concatenate([b, [-weight]])
-    x = solve_least_squares(A, b)
-    return [float(-d) for d in x[1 : 1 + npairs]]
+    npts = default_npts(slits, spec)
+    blocks, rhs = [], []
+    for j in right:
+        z, w = boundary_nodes(slits[j], npts[j])
+        up = npts[j] // 2  # the first half of the nodes covers the upper side
+        A = design_matrix(z[:up], slits, spec, preimages=w[:up], own_index=j)
+        blocks.append(np.hstack([
+            A[:, :1],
+            A[:, 1 + right] + A[:, 1 + mirror],
+            (A[:, cos_right] + sign * A[:, cos_mirror]).reshape(up, -1),
+        ]))
+        rhs.append(-np.log(np.abs(z[:up])))
+    x = solve_with_log_sum(np.vstack(blocks), np.concatenate(rhs), len(right), -0.5)
+    return [float(-d) for d in x[1 : 1 + len(right)]]

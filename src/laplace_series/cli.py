@@ -11,16 +11,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import ExpansionSpec, eval_expansion
-from .cantor import cantor_components, cantor_degree, cantor_inner_half_sum, cantor_measures
+from .cantor import cantor_degree, cantor_measures
 from .field import (
     EQUIPOTENTIAL,
     STREAMLINE,
-    Polyline,
     TraceOptions,
     default_window,
     extract_contours,
@@ -176,8 +175,8 @@ def parse_problem_config(text: str) -> RunConfig:
 
     degree = raw.get("degree", 10)
     if isinstance(degree, int) and not isinstance(degree, bool):
-        degrees = tuple(0 if c.role == OUTER else degree for c in components)
-        outer_degree = degree if any(c.role == OUTER for c in components) else 0
+        if degree < 0:
+            raise ConfigError("'degree' must be >= 0")
     elif isinstance(degree, list):
         if len(degree) != len(components):
             raise ConfigError("'degree' list must give one entry per component")
@@ -194,18 +193,20 @@ def parse_problem_config(text: str) -> RunConfig:
         degrees = tuple(degs)
     else:
         raise ConfigError("'degree' must be an integer or a list of integers")
-    if isinstance(degree, int) and degree < 0:
-        raise ConfigError("'degree' must be >= 0")
 
     scaled = raw.get("scaled", True)
     if not isinstance(scaled, bool):
         raise ConfigError("'scaled' must be true or false")
-    spec = ExpansionSpec(degrees=degrees, scaled=scaled, outer_degree=outer_degree)
 
     try:
         problem = Problem(components, domain, source, boundary_data)
     except (GeometryError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+    if isinstance(degree, int):
+        spec = default_spec(problem, degree, scaled)
+    else:
+        spec = ExpansionSpec(degrees=degrees, scaled=scaled, outer_degree=outer_degree)
 
     npts_raw = raw.get("npts")
     if npts_raw is None:
@@ -558,34 +559,17 @@ def _load_config(args) -> RunConfig:
         text = fh.read()
     cfg = parse_problem_config(text)
     if args.degree is not None or args.npts is not None or args.no_scale:
-        degree = args.degree
-        if degree is not None:
-            degrees = tuple(
-                0 if c.role == OUTER else degree for c in cfg.problem.components
-            )
-            outer = degree if any(c.role == OUTER for c in cfg.problem.components) else 0
+        scaled = False if args.no_scale else cfg.spec.scaled
+        if args.degree is not None:
+            spec = default_spec(cfg.problem, args.degree, scaled)
         else:
-            degrees, outer = cfg.spec.degrees, cfg.spec.outer_degree
-        spec = ExpansionSpec(
-            degrees=degrees,
-            scaled=False if args.no_scale else cfg.spec.scaled,
-            outer_degree=outer,
-        )
+            spec = replace(cfg.spec, scaled=scaled)
         npts = cfg.npts
         if args.degree is not None and args.npts is None:
             npts = tuple(default_npts(cfg.problem.components, spec))
         if args.npts is not None:
             npts = tuple(args.npts for _ in cfg.problem.components)
-        cfg = RunConfig(
-            problem=cfg.problem,
-            spec=spec,
-            npts=npts,
-            window=cfg.window,
-            levels=cfg.levels,
-            streamlines=cfg.streamlines,
-            outputs=cfg.outputs,
-            eval_points=cfg.eval_points,
-        )
+        cfg = replace(cfg, spec=spec, npts=npts)
     return cfg
 
 

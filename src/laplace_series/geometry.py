@@ -85,25 +85,10 @@ def slit(center: complex, halfspan: complex) -> BoundaryComponent:
     return BoundaryComponent(SLIT, complex(center), complex(halfspan), INNER)
 
 
-@dataclass(frozen=True)
-class BoundarySample:
-    """A boundary collocation point together with its unit-circle preimage.
-
-    The preimage keeps the two sides of a slit distinguishable: conjugate
-    preimages land on the same z but carry opposite signs in the odd basis
-    terms.
-    """
-
-    point: complex
-    component_index: int
-    preimage: complex
-
-
 def joukowski_forward(center: complex, halfspan: complex, w):
     """Map w from the exterior of the unit circle to the exterior of the slit.
 
-    Scalars go through the same numpy arithmetic as arrays, so recomputing a
-    stored sample point from its preimage reproduces it bit for bit.
+    A scalar w gives a Python complex, an array an array.
     """
     scalar = np.isscalar(w) or (isinstance(w, np.ndarray) and w.ndim == 0)
     wa = np.asarray(w, dtype=complex)
@@ -147,35 +132,14 @@ def joukowski_inverse(center: complex, halfspan: complex, z):
     return complex(w) if scalar else w
 
 
-def sample_boundary(component: BoundaryComponent, npts: int, index: int = 0) -> list[BoundarySample]:
-    """Place npts collocation points on a component.
-
-    Disks get angles 2*pi*k/npts.  Slits get preimage angles offset by half a
-    step, which keeps the preimages away from w = +-1 (the slit endpoints) and
-    makes the two halves of the circle cover the two sides of the slit.
-    """
-    if npts <= 0:
-        raise ValueError(f"npts must be >= 1, got {npts}")
-    z, w = boundary_nodes(component, npts)
-    if component.kind == SLIT:
-        # Rebuild each point through the scalar map so that the stored point
-        # is exactly the forward image of the stored preimage.
-        return [
-            BoundarySample(
-                joukowski_forward(component.center, component.halfspan, complex(wi)),
-                index,
-                complex(wi),
-            )
-            for wi in w
-        ]
-    return [BoundarySample(complex(zi), index, complex(wi)) for zi, wi in zip(z, w)]
-
-
 def boundary_nodes(component: BoundaryComponent, npts: int, offset: float = None):
-    """Vectorized boundary sampling; returns (points, preimages) arrays.
+    """Place npts collocation points on a component; returns (points, preimages).
 
-    ``offset`` shifts the sample angles by a fraction of the spacing; the
-    default is 0 for disks and 0.5 for slits.
+    The preimages sit at angles 2*pi*(k + offset)/npts on the unit circle.  The
+    default offset is 0 for disks and half a step for slits, which keeps slit
+    preimages away from w = +-1 (the endpoints) and lets the upper and lower
+    halves of the circle cover the two sides of the slit, told apart by their
+    conjugate preimages.  Each slit point is the forward image of its preimage.
     """
     if npts <= 0:
         raise ValueError(f"npts must be >= 1, got {npts}")

@@ -2,8 +2,9 @@
 
 Boundary conditions are imposed at npts >> N sample points per component and
 the coefficients solve the overdetermined system in the least-squares sense.
-Exterior problems get one extra weighted row enforcing sum(d_j) = -s, which
-keeps the expansion regular at infinity.  The a-posteriori certificate is the
+Exterior problems hold sum(d_j) = -s exactly, which keeps the expansion regular
+at infinity: the last log coefficient is eliminated as -s minus the others
+before the solve and restored after it.  The a-posteriori certificate is the
 maximum boundary misfit on a finer, offset sample grid; by the maximum
 principle it bounds the solution error throughout the domain.
 """
@@ -20,10 +21,10 @@ import scipy.linalg
 from .basis import (
     Expansion,
     ExpansionSpec,
+    column_count,
     design_matrix,
     eval_gradient,
     inner_indices,
-    outer_index,
     validate_spec,
 )
 from .geometry import (
@@ -46,9 +47,6 @@ BoundaryData = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 # Pivot threshold for rank-deficient least-squares systems.
 RANK_TOL = 1e-13
-
-# Extra factor on the sqrt(total samples) weight of the appended constraint row.
-_CONSTRAINT_STIFFNESS = 100.0
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,10 @@ def default_spec(problem: Problem, degree: int = 10, scaled: bool = True) -> Exp
 def _boundary_rows(problem: Problem, spec: ExpansionSpec, npts):
     """Stack collocation rows for all components; rhs is g - (fixed source term)."""
     comps = problem.components
-    blocks, rhs = [], []
+    # Filled in place: stacking per-component blocks would hold the matrix twice.
+    A = np.empty((sum(int(n) for n in npts), column_count(comps, spec)))
+    b = np.empty(A.shape[0])
+    row = 0
     for j, comp in enumerate(comps):
         n = int(npts[j])
         if n < 2 * effective_degree(comps, spec, j) + 2:
@@ -195,12 +196,12 @@ def _boundary_rows(problem: Problem, spec: ExpansionSpec, npts):
             )
         z, w = boundary_nodes(comp, n)
         _check_samples_clear(problem, j, z)
-        blocks.append(design_matrix(z, comps, spec, preimages=w, own_index=j))
-        g = problem.data_values(j, z)
+        A[row : row + n] = design_matrix(z, comps, spec, preimages=w, own_index=j)
+        b[row : row + n] = problem.data_values(j, z)
         if problem.source_strength != 0.0:
-            g = g - problem.source_strength * np.log(np.abs(z - problem.source))
-        rhs.append(g)
-    return np.vstack(blocks), np.concatenate(rhs)
+            b[row : row + n] -= problem.source_strength * np.log(np.abs(z - problem.source))
+        row += n
+    return A, b
 
 
 def _check_samples_clear(problem: Problem, j: int, z: np.ndarray) -> None:
@@ -220,25 +221,11 @@ def _check_samples_clear(problem: Problem, j: int, z: np.ndarray) -> None:
 
 
 def assemble_system(problem: Problem, spec: ExpansionSpec, npts: Sequence[int]):
-    """Build the collocation matrix and right-hand side.
-
-    Exterior problems get one appended constraint row (ones in the d columns)
-    weighted by sqrt(total sample count), with right-hand side -s * weight.
-    """
+    """Build the collocation matrix and right-hand side, one row per sample."""
     validate_spec(problem.components, spec)
     if len(npts) != len(problem.components):
         raise ValueError("npts must give one count per component")
-    A, b = _boundary_rows(problem, spec, npts)
-    if problem.domain_kind == EXTERIOR:
-        inner = inner_indices(problem.components)
-        row = np.zeros(A.shape[1])
-        row[1 : 1 + len(inner)] = 1.0
-        # The regularity condition at infinity is exact, not a fitted datum, so
-        # its row gets a stiff weight; the violation scales as weight^-2.
-        weight = _CONSTRAINT_STIFFNESS * math.sqrt(A.shape[0])
-        A = np.vstack([A, weight * row])
-        b = np.concatenate([b, [-problem.source_strength * weight]])
-    return A, b
+    return _boundary_rows(problem, spec, npts)
 
 
 def solve_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,6 +244,21 @@ def solve_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def solve_with_log_sum(A: np.ndarray, b: np.ndarray, nlog: int, total: float) -> np.ndarray:
+    """Least squares over columns [C, d_1..d_nlog, ...] with sum(d) = total exactly.
+
+    d_nlog = total - (d_1 + ... + d_nlog-1) is substituted into the system,
+    which is then solved for the remaining coefficients.  A is overwritten:
+    the reduced system is built in its storage, with the last column moved
+    into the eliminated one's place, so no second matrix is allocated.
+    """
+    a = A[:, nlog].copy()
+    A[:, 1:nlog] -= a[:, None]
+    A[:, nlog] = A[:, -1]
+    y = solve_least_squares(A[:, :-1], b - total * a)
+    return np.concatenate([y[:nlog], [total - y[1:nlog].sum()], y[nlog + 1 :], y[nlog : nlog + 1]])
+
+
 def solve_problem(problem: Problem, spec: ExpansionSpec = None, npts=None) -> Solution:
     """Fit an expansion to the boundary data and certify it on a 4x finer grid."""
     if spec is None:
@@ -264,7 +266,11 @@ def solve_problem(problem: Problem, spec: ExpansionSpec = None, npts=None) -> So
     if npts is None:
         npts = default_npts(problem.components, spec)
     A, b = assemble_system(problem, spec, npts)
-    x = solve_least_squares(A, b)
+    if problem.domain_kind == EXTERIOR:
+        nlog = len(inner_indices(problem.components))
+        x = solve_with_log_sum(A, b, nlog, -problem.source_strength)
+    else:
+        x = solve_least_squares(A, b)
     expansion = Expansion.from_vector(
         x, problem.components, spec, source=problem.source,
         source_strength=problem.source_strength,

@@ -76,7 +76,7 @@ def test_measures_match_tables(m):
 def test_symmetric_path_agrees_with_general(m):
     general = cantor_measures(m)
     fast = cantor_measures(m, use_symmetry=True)
-    assert max(abs(a - b) for a, b in zip(general, fast)) < 1e-8
+    assert max(abs(a - b) for a, b in zip(general, fast)) < 1e-12
 
 
 def test_mirror_symmetry_of_general_solve():

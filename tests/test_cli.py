@@ -1,10 +1,13 @@
+import argparse
 import json
 import os
 
 import pytest
 
+from laplace_series import default_spec
 from laplace_series.cli import (
     ConfigError,
+    _load_config,
     OutputPaths,
     emit_svg,
     main,
@@ -146,6 +149,30 @@ def test_cli_degree_override(tmp_path):
     assert report["fit"]["degrees"] == [4]
     u2 = report["eval"][0]["u"]
     assert abs(u2 - (-0.5893274981708)) < 1e-3
+
+
+ANNULUS = """
+{
+  "domain": "bounded",
+  "components": [
+    {"kind": "disk", "center": [0, 0], "radius": 2.0, "role": "outer", "value": 0.0},
+    {"kind": "disk", "center": [0.5, 0], "radius": 0.5, "value": 1.0}
+  ],
+  "degree": DEGREE
+}
+"""
+
+
+def test_bounded_degree_follows_default_spec(tmp_path):
+    # An integer degree, from the file or from --degree, means what
+    # default_spec means by it: 0 for the outer entry, outer_degree = degree.
+    cfg = parse_problem_config(ANNULUS.replace("DEGREE", "6"))
+    assert cfg.spec == default_spec(cfg.problem, 6)
+    assert cfg.spec.outer_degree == 6 and cfg.spec.degrees == (0, 6)
+    path = tmp_path / "annulus.json"
+    path.write_text(ANNULUS.replace("DEGREE", "3"))
+    args = argparse.Namespace(config=str(path), degree=6, npts=None, no_scale=False)
+    assert _load_config(args).spec == default_spec(cfg.problem, 6)
 
 
 def test_cli_cantor_subcommand(tmp_path):

@@ -12,7 +12,6 @@ from laplace_series.geometry import (
     disk,
     joukowski_forward,
     joukowski_inverse,
-    sample_boundary,
     segments_cross,
     slit,
 )
@@ -91,27 +90,28 @@ def test_branch_consistent_on_axis_points():
 
 def test_disk_sampling_examples():
     d = disk(2 + 1j, 0.5)
-    samples = sample_boundary(d, 4)
-    got = [s.point for s in samples]
+    got, pre = boundary_nodes(d, 4)
     want = [2.5 + 1j, 2 + 1.5j, 1.5 + 1j, 2 + 0.5j]
+    assert got.shape == pre.shape == (4,)
     assert all(abs(g - w) < 1e-15 for g, w in zip(got, want))
-    assert all(s.component_index == 0 for s in samples)
 
 
 def test_slit_sampling_two_sides():
-    samples = sample_boundary(slit(0, 1), 4)
-    pts = sorted((s.point for s in samples), key=lambda p: (p.real, p.imag))
+    z, w = boundary_nodes(slit(0, 1), 4)
+    pts = sorted(z, key=lambda p: (p.real, p.imag))
     x = math.sqrt(2) / 2
     assert abs(pts[0] - (-x)) < 1e-15 and abs(pts[1] - (-x)) < 1e-15
     assert abs(pts[2] - x) < 1e-15 and abs(pts[3] - x) < 1e-15
-    # conjugate preimages distinguish the sides
-    pre = sorted(s.preimage.imag for s in samples)
+    # conjugate preimages distinguish the sides; the first half of the nodes
+    # covers the upper side
+    pre = sorted(w.imag)
     assert pre[0] < 0 < pre[3]
+    assert np.all(w[:2].imag > 0) and np.all(w[2:].imag < 0)
 
 
 def test_sampling_rejects_bad_counts():
     with pytest.raises(ValueError):
-        sample_boundary(disk(0, 1.0), 0)
+        boundary_nodes(disk(0, 1.0), 0)
     with pytest.raises(ValueError):
         boundary_nodes(slit(0, 1), -3)
 
@@ -129,13 +129,13 @@ def test_samples_lie_on_boundary(npts, cr, ci, ext, is_disk, tilt):
     c = complex(cr, ci)
     if is_disk:
         comp = disk(c, ext)
-        for s in sample_boundary(comp, npts):
-            assert abs(abs(s.point - c) - ext) <= 1e-13 * max(1.0, ext)
+        z, _ = boundary_nodes(comp, npts)
+        assert np.all(np.abs(np.abs(z - c) - ext) <= 1e-13 * max(1.0, ext))
     else:
         comp = slit(c, ext * complex(math.cos(tilt), math.sin(tilt)))
-        for s in sample_boundary(comp, npts):
-            again = joukowski_forward(comp.center, comp.halfspan, s.preimage)
-            assert again == s.point
+        z, w = boundary_nodes(comp, npts)
+        # each point is exactly the forward image of its preimage
+        assert np.array_equal(joukowski_forward(comp.center, comp.halfspan, w), z)
 
 
 def test_component_validation():

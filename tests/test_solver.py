@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,8 @@ from laplace_series import (
     solve_least_squares,
     solve_problem,
 )
+from laplace_series.cantor import _symmetric_measures
+from laplace_series.solver import solve_with_log_sum
 
 U2_REF = -0.5893274981708  # converged value of u(2) for the c=3+i, r=1 disk
 
@@ -29,15 +32,15 @@ U2_REF = -0.5893274981708  # converged value of u(2) for the c=3+i, r=1 disk
 def test_assembly_shape_single_disk():
     prob = green_problem([disk(3 + 1j, 1.0)], source=0j)
     A, b = assemble_system(prob, ExpansionSpec(degrees=(10,)), [200])
-    assert A.shape == (201, 22)
-    assert b.shape == (201,)
+    assert A.shape == (200, 22)  # one row per sample; sum(d) = -s is not a row
+    assert b.shape == (200,)
 
 
 def test_assembly_shape_four_disks():
     comps = [disk(-3 + 3j, 1.0), disk(3 + 3j, 1.0), disk(3 - 3j, 0.3), disk(-3 - 3j, 0.3)]
     prob = green_problem(comps, source=0j)
     A, _ = assemble_system(prob, ExpansionSpec(degrees=(10,) * 4), [200] * 4)
-    assert A.shape == (801, 85)
+    assert A.shape == (800, 85)
 
 
 def test_assembly_green_rhs_is_negative_source_log():
@@ -156,8 +159,30 @@ def test_degree_zero_fit_has_positive_residual():
 
 
 def test_constraint_row_enforced(disk1, three_disks, two_slits):
+    # sum(d_j) = -s is eliminated exactly, so it holds to rounding, on the
+    # general path and on the folded Cantor path (mirror pairs sum to -1/2).
     for sol in (disk1, three_disks, two_slits):
-        assert abs(sum(sol.expansion.log_coeffs) + 1.0) < 1e-10
+        assert abs(sum(sol.expansion.log_coeffs) + 1.0) <= 1e-14
+    for m in range(1, 7):
+        assert abs(2 * sum(_symmetric_measures(m)) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("nlog,extra", [(1, 0), (3, 0), (1, 4), (3, 4)])
+def test_log_sum_elimination_matches_null_space_solve(nlog, extra):
+    # Least squares over the affine set {x : d_1 + ... + d_nlog = -1},
+    # parametrized independently by a null-space basis of the constraint.
+    rng = np.random.default_rng(nlog + 10 * extra)
+    n = 1 + nlog + extra
+    A = rng.standard_normal((40, n))
+    b = rng.standard_normal(40)
+    c = np.zeros(n)
+    c[1 : 1 + nlog] = 1.0
+    x0 = -c / (c @ c)
+    N = scipy.linalg.null_space(c[None, :])
+    want = x0 + N @ np.linalg.lstsq(A @ N, b - A @ x0, rcond=None)[0]
+    got = solve_with_log_sum(A.copy(), b, nlog, -1.0)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert abs(sum(got[1 : 1 + nlog]) + 1.0) <= 1e-14
 
 
 def test_flux_quantization(three_disks):
