@@ -21,6 +21,7 @@ from .field import (
     EQUIPOTENTIAL,
     STREAMLINE,
     TraceOptions,
+    _domain_mask,
     default_window,
     extract_contours,
     streamline_fan,
@@ -341,8 +342,6 @@ def _auto_levels(solution: Solution, window, n: int = 12) -> tuple[float, ...]:
     xs = np.linspace(x0, x1, 60)
     ys = np.linspace(y0, y1, 60)
     X, Y = np.meshgrid(xs, ys)
-    from .field import _domain_mask  # local import keeps module load cheap
-
     mask = _domain_mask(solution.problem, X, Y)
     if solution.problem.source is not None:
         mask &= np.abs(X + 1j * Y - solution.problem.source) > 0.05 * (x1 - x0)

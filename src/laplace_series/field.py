@@ -6,7 +6,8 @@ over the slit and picking the wrong branch, so steps that would cross a slit
 are rejected outright.  All lines of a fan advance in lockstep, with one
 vectorized evaluation per stage for every live line.  Equipotentials come from
 marching squares on a masked grid rather than ODE tracing, which sidesteps
-branch bookkeeping when the topology changes.
+branch bookkeeping when the topology changes.  Contour vertices are
+grid-edge crossings, each computed once, so joins are exact at any scale.
 """
 
 from __future__ import annotations
@@ -394,7 +395,11 @@ def _slit_cell_mask(problem, window, grid_n):
 
 
 def extract_contours(solution: Solution, levels, window, grid_n: int):
-    """Level polylines of u on a grid over the window, by marching squares."""
+    """Level polylines of u on a grid over the window, by marching squares.
+
+    Vertices are crossings of numbered grid edges, one per edge and level, so
+    the segments of neighbouring cells join by edge number, exactly at any scale.
+    """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     x0, x1, y0, y1 = window
@@ -411,106 +416,100 @@ def extract_contours(solution: Solution, levels, window, grid_n: int):
     out = []
     corner_ok = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
     for level in levels:
-        segments = _cells_to_segments(U, xs, ys, float(level), corner_ok & ~cell_bad)
-        for points, closed in _chain_segments(segments):
+        level = float(level)
+        crossings = _edge_crossings(U, xs, ys, level)
+        segments = _cells_to_segments(U, level, corner_ok & ~cell_bad)
+        for chain, closed in _chain_segments(segments):
+            points = crossings[chain]
+            # A level through a grid node meets two edges of a cell at that node.
+            points = points[np.r_[True, points[1:] != points[:-1]]]
             if len(points) < 2:
                 continue
             out.append(
                 Polyline(
-                    points=tuple(points),
+                    points=tuple(points.tolist()),
                     kind=EQUIPOTENTIAL,
-                    value=float(level),
+                    value=level,
                     termination=None if closed else LEFT_WINDOW,
                 )
             )
     return out
 
 
-def _cells_to_segments(U, xs, ys, level, cell_ok):
+def _edge_crossings(U, xs, ys, level):
+    """The level's crossing of every grid edge, indexed by edge number.
+
+    Interpolation starts from the edge end whose value is nearer the level, so
+    a level through a grid node gives the node exactly.  Entries for edges the
+    level does not cross are meaningless.
+    """
+
+    def cross(p, q, a, b):
+        from_p = np.abs(level - a) <= np.abs(level - b)
+        return np.where(from_p, p + (level - a) / (b - a) * (q - p), q + (level - b) / (a - b) * (p - q))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = cross(xs[:-1], xs[1:], U[:, :-1], U[:, 1:])
+        y = cross(ys[:-1, None], ys[1:, None], U[:-1], U[1:])
+        return np.concatenate([(x + 1j * ys[:, None]).ravel(), (xs + 1j * y).ravel()])
+
+
+def _cells_to_segments(U, level, cell_ok):
+    """Marching-squares segments, as pairs of the edge numbers they join."""
+    rows, n = U.shape
     corners_val = (U[:-1, :-1], U[:-1, 1:], U[1:, 1:], U[1:, :-1])
     above = [v > level for v in corners_val]
     code = above[0] * 1 + above[1] * 2 + above[2] * 4 + above[3] * 8
     active = cell_ok & (code > 0) & (code < 15)
     jj, ii = np.nonzero(active)
     segments = []
-    for j, i in zip(jj, ii):
-        c = int(code[j, i])
-        vals = (U[j, i], U[j, i + 1], U[j + 1, i + 1], U[j + 1, i])
-        pts = (
-            complex(xs[i], ys[j]),
-            complex(xs[i + 1], ys[j]),
-            complex(xs[i + 1], ys[j + 1]),
-            complex(xs[i], ys[j + 1]),
-        )
+    for j, i, c in zip(jj.tolist(), ii.tolist(), code[active].tolist()):
+        # Numbers of the cell's edges 0..3: bottom, right, top, left.
+        h = j * (n - 1) + i
+        v = rows * (n - 1) + j * n + i
+        edge_number = (h, v + 1, h + n - 1, v)
         if c in _MS_SADDLE:
             lo, hi = _MS_SADDLE[c]
+            vals = (U[j, i], U[j, i + 1], U[j + 1, i + 1], U[j + 1, i])
             edges = hi if (sum(vals) / 4.0) > level else lo
         else:
             edges = _MS_EDGES[c]
-        for e1, e2 in edges:
-            segments.append((_edge_point(e1, pts, vals, level), _edge_point(e2, pts, vals, level)))
+        segments.extend((edge_number[e1], edge_number[e2]) for e1, e2 in edges)
     return segments
 
 
-def _edge_point(edge, pts, vals, level):
-    a, b = edge, (edge + 1) % 4
-    va, vb = vals[a], vals[b]
-    t = 0.5 if vb == va else (level - va) / (vb - va)
-    t = min(max(t, 0.0), 1.0)
-    return pts[a] + t * (pts[b] - pts[a])
+def _chain_segments(segments):
+    """Join segments that share an edge into (edge numbers, closed) chains.
 
-
-def _chain_segments(segments, tol_digits: int = 9):
-    """Join segments that share endpoints into open chains and closed loops."""
-
-    def key(z):
-        return (round(z.real, tol_digits), round(z.imag, tol_digits))
-
+    A closed chain ends on its first edge.  An edge borders two cells, so at
+    most two segments meet at it.
+    """
     links: dict = {}
     for idx, (a, b) in enumerate(segments):
-        links.setdefault(key(a), []).append((idx, 0))
-        links.setdefault(key(b), []).append((idx, 1))
+        links.setdefault(a, []).append((idx, 0))
+        links.setdefault(b, []).append((idx, 1))
     used = [False] * len(segments)
 
     def walk(idx, end):
-        # Walk outward from segment idx through its `end` endpoint, collecting
-        # the points visited (starting with that endpoint itself).
+        # The edges met walking out of segment idx through its `end` edge, that one first.
         chain = []
-        cur, out_end = idx, end
         while True:
-            a, b = segments[cur]
-            pt = b if out_end == 1 else a
-            chain.append(pt)
-            candidates = [(i, e) for (i, e) in links.get(key(pt), []) if not used[i]]
+            edge = segments[idx][end]
+            chain.append(edge)
+            candidates = [(i, e) for (i, e) in links[edge] if not used[i]]
             if not candidates:
                 return chain
-            nxt, e = candidates[0]
-            used[nxt] = True
-            cur, out_end = nxt, 1 - e
+            idx, e = candidates[0]
+            used[idx] = True
+            end = 1 - e
 
-    chains = []
     for idx in range(len(segments)):
         if used[idx]:
             continue
         used[idx] = True
         fwd = walk(idx, 1)
-        bwd = walk(idx, 0)
-        pts = list(reversed(bwd)) + fwd
-        closed = len(pts) > 3 and key(pts[0]) == key(pts[-1])
-        chains.append((pts, closed))
-    out = []
-    for pts, closed in chains:
-        cleaned = [pts[0]]
-        for p in pts[1:]:
-            if key(p) != key(cleaned[-1]):
-                cleaned.append(p)
-        if closed:
-            if key(cleaned[0]) == key(cleaned[-1]):
-                cleaned[-1] = cleaned[0]
-            else:
-                cleaned.append(cleaned[0])
-        out.append((cleaned, closed))
-    return out
+        chain = walk(idx, 0)[::-1] + fwd
+        yield chain, chain[0] == chain[-1]
 
 
 def slit_side_measure(solution: Solution, slit_index: int, side: str, nquad: int = 256,

@@ -222,6 +222,8 @@ def _check_samples_clear(problem: Problem, j: int, z: np.ndarray) -> None:
 
 def assemble_system(problem: Problem, spec: ExpansionSpec, npts: Sequence[int]):
     """Build the collocation matrix and right-hand side, one row per sample."""
+    if not problem.components:
+        raise ValueError("a problem without boundary components has nothing to fit")
     validate_spec(problem.components, spec)
     if len(npts) != len(problem.components):
         raise ValueError("npts must give one count per component")
@@ -252,6 +254,8 @@ def solve_with_log_sum(A: np.ndarray, b: np.ndarray, nlog: int, total: float) ->
     the reduced system is built in its storage, with the last column moved
     into the eliminated one's place, so no second matrix is allocated.
     """
+    if nlog < 1:
+        raise ValueError(f"need at least one log column to hold the sum, got nlog={nlog}")
     a = A[:, nlog].copy()
     A[:, 1:nlog] -= a[:, None]
     A[:, nlog] = A[:, -1]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_RESULTS, domain_points
+from conftest import ACCEPTANCE_RESULTS, domain_points, fd_gradient
 from laplace_series import (
     ExpansionSpec,
     Problem,
@@ -171,15 +171,12 @@ def test_criterion_6_gradient_matches_finite_differences():
     solutions = _green_test_set()
     annulus = Problem((disk(0, 2.0, role="outer"), disk(0, 1.0)), "bounded", None, (0.0, 1.0))
     solutions["annulus"] = solve_problem(annulus, default_spec(annulus, degree=10))
-    h = 1e-6
     worst = 0.0
     for seed, sol in enumerate(solutions.values()):
         pts = domain_points(sol.problem, 100, seed=seed, margin=0.2, box=5.0)
         grad = eval_gradient(sol.expansion, pts)
-        ux = (eval_expansion(sol.expansion, pts + h) - eval_expansion(sol.expansion, pts - h)) / (2 * h)
-        uy = (eval_expansion(sol.expansion, pts + 1j * h) - eval_expansion(sol.expansion, pts - 1j * h)) / (2 * h)
-        worst = max(worst, float(np.max(np.abs(grad - (ux + 1j * uy)) / np.abs(grad))))
-    ok = worst <= 1e-6
+        worst = max(worst, float(np.max(np.abs(grad - fd_gradient(sol.expansion, pts)) / np.abs(grad))))
+    ok = worst <= 1e-8
     record(6, ok, f"100 points x {len(solutions)} problems: worst rel err {worst:.1e}")
 
 

@@ -194,6 +194,35 @@ def test_contours_of_pure_source(pure_source):
     assert np.max(np.abs(radii - 1.0)) <= 4 / 201
 
 
+def _source_circle(pure_source, r):
+    """The contour |z| = 0.93 r on a 101-point grid over a window of half-width 2r."""
+    window = (-2 * r, 2 * r, -2 * r, 2 * r)
+    (circle,) = extract_contours(pure_source, [math.log(0.93 * r)], window, 101)
+    assert circle.termination is None
+    return np.array(circle.points)
+
+
+@pytest.mark.parametrize("r", [1.0, 1e-3, 1e-6, 1e-8, 1e-9])
+def test_contours_are_scale_free(pure_source, r):
+    # Segments join by grid edge, not by rounded coordinates, so shrinking the
+    # picture shrinks the polyline and nothing else.
+    ref = _source_circle(pure_source, 1.0)
+    pts = _source_circle(pure_source, r) / r
+    assert len(ref) == 189
+    assert len(pts) == len(ref)
+    assert np.max(np.abs(pts - ref)) <= 1e-12
+
+
+def test_contour_through_grid_node(pure_source):
+    # u = log|z| is exactly 0 at the node (1, 0); the two crossed edges of a
+    # cell both meet the level there, and the node appears once, exactly.
+    (line,) = extract_contours(pure_source, [0.0], (1 - 1e-3, 1 + 1e-3, -1e-3, 1e-3), 101)
+    pts = np.array(line.points)
+    assert len(pts) == 101
+    assert np.all(pts[1:] != pts[:-1])
+    assert np.count_nonzero(pts == 1.0) == 1
+
+
 def test_contours_empty_cases(pure_source):
     assert extract_contours(pure_source, [], (-2, 2, -2, 2), 50) == []
     assert extract_contours(pure_source, [10.0], (-2, 2, -2, 2), 50) == []

@@ -185,6 +185,18 @@ def test_log_sum_elimination_matches_null_space_solve(nlog, extra):
     assert abs(sum(got[1 : 1 + nlog]) + 1.0) <= 1e-14
 
 
+def test_empty_problem_is_rejected():
+    # Without a log column there is no d to hold sum(d) = -s; eliminating the
+    # constant column instead would return C = -1 with a zero certificate.
+    prob = green_problem([], source=0j)
+    with pytest.raises(ValueError, match="without boundary components"):
+        solve_problem(prob)
+    with pytest.raises(ValueError, match="without boundary components"):
+        assemble_system(prob, ExpansionSpec(degrees=()), [])
+    with pytest.raises(ValueError, match="nlog=0"):
+        solve_with_log_sum(np.ones((4, 2)), np.ones(4), 0, -1.0)
+
+
 def test_flux_quantization(three_disks):
     comps = three_disks.problem.components
     for j, comp in enumerate(comps):
