@@ -104,14 +104,15 @@ def _powers(t: np.ndarray, n: int) -> np.ndarray:
     return np.multiply.accumulate(p, axis=1, out=p)
 
 
-def _local_coordinates(z, components, spec: ExpansionSpec, preimages=None, own_index=None):
+def _local_coordinates(z, components, spec: ExpansionSpec, preimages=None, owner=None):
     """Yield (slot, j, zeta, log offset) for each inner component j.
 
     zeta is the block's local variable: (z - c)/r for a scaled disk, z - c for
-    an unscaled one, and the inverse slit map w for a slit (``preimages``
-    replaces it on component ``own_index``).  The block's log column is
-    log|zeta| + offset, which is log|z - c| for a disk and log(|w| |r|/2) for a
-    slit, and its power columns are zeta^-k.
+    an unscaled one, and the inverse slit map w for a slit.  On rows whose
+    ``owner`` is slit j itself, ``preimages`` (one per row) replaces the map;
+    each slit's map runs once, over the rows it does not own.  The block's log
+    column is log|zeta| + offset, which is log|z - c| for a disk and
+    log(|w| |r|/2) for a slit, and its power columns are zeta^-k.
     """
     for slot, j in enumerate(inner_indices(components)):
         comp = components[j]
@@ -121,28 +122,41 @@ def _local_coordinates(z, components, spec: ExpansionSpec, preimages=None, own_i
             else:
                 yield slot, j, z - comp.center, 0.0
             continue
-        if j == own_index and preimages is not None:
-            w = np.asarray(preimages, dtype=complex)
-        else:
+        if owner is None or (rest := owner != j).all():
             w = joukowski_inverse(comp.center, comp.halfspan, z)
+        elif rest.any():
+            w = preimages.copy()
+            w[rest] = joukowski_inverse(comp.center, comp.halfspan, z[rest])
+        else:
+            w = preimages
         yield slot, j, w, math.log(abs(comp.halfspan) / 2.0)
 
 
-def design_matrix(z, components, spec: ExpansionSpec, preimages=None, own_index: int = None):
+def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None):
     """Rows of basis values at the points z (one row per point).
 
-    ``preimages``/``own_index`` feed precomputed slit preimages for points that
-    lie on component ``own_index`` itself, where the inverse map is two-valued
-    and the stored sampling preimage decides the side.
+    ``owner``/``preimages`` give, per row, the index of the component the
+    point was sampled on and its sampling preimage.  On a slit's own rows the
+    inverse map is two-valued and the stored preimage decides the side; every
+    other row of a slit block goes through the map, which raises DomainError
+    for a point on that slit.  Rows of any mix of components can be stacked
+    into one call.
     """
     validate_spec(components, spec)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if (owner is None) != (preimages is None):
+        raise ValueError("owner and preimages must be given together")
+    if owner is not None:
+        owner = np.asarray(owner)
+        preimages = np.asarray(preimages, dtype=complex)
+        if owner.shape != z.shape or preimages.shape != z.shape:
+            raise ValueError("owner and preimages must give one entry per point")
     ncols = column_count(components, spec)
     A = np.empty((z.shape[0], ncols), dtype=float)
     A[:, 0] = 1.0
 
     col = 1 + len(inner_indices(components))
-    for slot, j, zeta, offset in _local_coordinates(z, components, spec, preimages, own_index):
+    for slot, j, zeta, offset in _local_coordinates(z, components, spec, preimages, owner):
         n = spec.degrees[j]
         A[:, 1 + slot] = np.log(np.abs(zeta)) + offset
         p = _powers(1.0 / zeta, n)

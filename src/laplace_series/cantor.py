@@ -122,16 +122,17 @@ def _symmetric_measures(m: int) -> list[float]:
     sign = (-1.0) ** (ks + 1)
 
     npts = default_npts(slits, spec)
-    blocks, rhs = [], []
-    for j in right:
-        z, w = boundary_nodes(slits[j], npts[j])
-        up = npts[j] // 2  # the first half of the nodes covers the upper side
-        A = design_matrix(z[:up], slits, spec, preimages=w[:up], own_index=j)
-        blocks.append(np.hstack([
-            A[:, :1],
-            A[:, 1 + right] + A[:, 1 + mirror],
-            (A[:, cos_right] + sign * A[:, cos_mirror]).reshape(up, -1),
-        ]))
-        rhs.append(-np.log(np.abs(z[:up])))
-    x = solve_with_log_sum(np.vstack(blocks), np.concatenate(rhs), len(right), -0.5)
+    halves = [npts[j] // 2 for j in right]  # the first half of the nodes covers the upper side
+    nodes = [boundary_nodes(slits[j], npts[j]) for j in right]
+    z = np.concatenate([zj[:h] for (zj, _), h in zip(nodes, halves)])
+    w = np.concatenate([wj[:h] for (_, wj), h in zip(nodes, halves)])
+    owner = np.repeat(right, halves)
+    A = design_matrix(z, slits, spec, preimages=w, owner=owner)
+    folded = np.hstack([
+        A[:, :1],
+        A[:, 1 + right] + A[:, 1 + mirror],
+        (A[:, cos_right] + sign * A[:, cos_mirror]).reshape(z.shape[0], -1),
+    ])
+    del A  # the fold holds what the solve needs
+    x = solve_with_log_sum(folded, -np.log(np.abs(z)), len(right), -0.5)
     return [float(-d) for d in x[1 : 1 + len(right)]]

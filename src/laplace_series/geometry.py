@@ -230,6 +230,30 @@ def components_overlap(a: BoundaryComponent, b: BoundaryComponent) -> bool:
     return segments_cross(*a.endpoints, *b.endpoints)
 
 
+def first_overlap(components) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of inner components that touch or intersect.
+
+    Each component's bounding box is tested against the boxes of all later
+    components at once; only pairs whose boxes meet go through
+    components_overlap, which decides.
+    """
+    centers = np.array([c.center for c in components], dtype=complex)
+    reach = np.array(
+        [complex(c.radius, c.radius) if c.kind == DISK else c.extent for c in components],
+        dtype=complex,
+    )
+    # (x, y) rows of the two corners (disks) or the two endpoints (slits).
+    p = (centers - reach).view(float).reshape(-1, 2)
+    q = (centers + reach).view(float).reshape(-1, 2)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    for i in range(len(components) - 1):
+        meet = ((lo[i + 1 :] <= hi[i]) & (lo[i] <= hi[i + 1 :])).all(axis=1)
+        for j in i + 1 + np.flatnonzero(meet):
+            if components_overlap(components[i], components[j]):
+                return i, int(j)
+    return None
+
+
 def inside_disk(outer: BoundaryComponent, comp: BoundaryComponent) -> bool:
     """True when comp lies strictly inside the disk ``outer``."""
     if comp.kind == DISK:

@@ -2,11 +2,14 @@
 
 Boundary conditions are imposed at npts >> N sample points per component and
 the coefficients solve the overdetermined system in the least-squares sense.
-Exterior problems hold sum(d_j) = -s exactly, which keeps the expansion regular
-at infinity: the last log coefficient is eliminated as -s minus the others
-before the solve and restored after it.  The a-posteriori certificate is the
-maximum boundary misfit on a finer, offset sample grid; by the maximum
-principle it bounds the solution error throughout the domain.
+The samples of all components are stacked and the matrix is built by one
+design_matrix call, which maps each slit once.  Exterior problems hold
+sum(d_j) = -s exactly, which keeps the expansion regular at infinity: the last
+log coefficient is eliminated as -s minus the others before the solve and
+restored after it.  The a-posteriori certificate is the maximum boundary
+misfit on a finer, offset sample grid, evaluated in row blocks no taller than
+the fit matrix (or the largest component grid); by the maximum principle it
+bounds the solution error throughout the domain.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import scipy.linalg
 from .basis import (
     Expansion,
     ExpansionSpec,
-    column_count,
     design_matrix,
     eval_gradient,
     inner_indices,
@@ -35,7 +37,7 @@ from .geometry import (
     BoundaryComponent,
     GeometryError,
     boundary_nodes,
-    components_overlap,
+    first_overlap,
     inside_disk,
     segment_distance,
 )
@@ -85,10 +87,10 @@ class Problem:
         if self.domain_kind == BOUNDED and len(outers) != 1:
             raise GeometryError("a bounded problem needs exactly one outer component")
         inner = inner_indices(comps)
-        for i_pos, i in enumerate(inner):
-            for j in inner[i_pos + 1 :]:
-                if components_overlap(comps[i], comps[j]):
-                    raise GeometryError(f"components[{i}] and components[{j}] overlap")
+        pair = first_overlap([comps[j] for j in inner])
+        if pair is not None:
+            i, j = inner[pair[0]], inner[pair[1]]
+            raise GeometryError(f"components[{i}] and components[{j}] overlap")
         if outers:
             out = comps[outers[0]]
             for j in inner:
@@ -114,7 +116,7 @@ class Problem:
     def data_values(self, j: int, z: np.ndarray) -> np.ndarray:
         g = self.boundary_data[j]
         if callable(g):
-            return np.asarray(g(z), dtype=float)
+            return np.broadcast_to(np.asarray(g(z), dtype=float), z.shape)
         return np.full(z.shape, float(g))
 
     def is_green(self) -> bool:
@@ -181,12 +183,9 @@ def default_spec(problem: Problem, degree: int = 10, scaled: bool = True) -> Exp
 
 
 def _boundary_rows(problem: Problem, spec: ExpansionSpec, npts):
-    """Stack collocation rows for all components; rhs is g - (fixed source term)."""
+    """Collocation rows for all components in one call; rhs is g - (fixed source term)."""
     comps = problem.components
-    # Filled in place: stacking per-component blocks would hold the matrix twice.
-    A = np.empty((sum(int(n) for n in npts), column_count(comps, spec)))
-    b = np.empty(A.shape[0])
-    row = 0
+    nodes = []
     for j, comp in enumerate(comps):
         n = int(npts[j])
         if n < 2 * effective_degree(comps, spec, j) + 2:
@@ -196,12 +195,21 @@ def _boundary_rows(problem: Problem, spec: ExpansionSpec, npts):
             )
         z, w = boundary_nodes(comp, n)
         _check_samples_clear(problem, j, z)
-        A[row : row + n] = design_matrix(z, comps, spec, preimages=w, own_index=j)
-        b[row : row + n] = problem.data_values(j, z)
-        if problem.source_strength != 0.0:
-            b[row : row + n] -= problem.source_strength * np.log(np.abs(z - problem.source))
-        row += n
+        nodes.append((z, w))
+    z, w, owner, b = _stack_nodes(problem, nodes)
+    A = design_matrix(z, comps, spec, preimages=w, owner=owner)
+    if problem.source_strength != 0.0:
+        b -= problem.source_strength * np.log(np.abs(z - problem.source))
     return A, b
+
+
+def _stack_nodes(problem: Problem, nodes):
+    """Stack per-component (points, preimages) into rows: (z, w, owner, data)."""
+    z = np.concatenate([zw[0] for zw in nodes])
+    w = np.concatenate([zw[1] for zw in nodes])
+    owner = np.repeat(np.arange(len(nodes)), [zw[0].shape[0] for zw in nodes])
+    g = np.concatenate([problem.data_values(j, zw[0]) for j, zw in enumerate(nodes)])
+    return z, w, owner, g
 
 
 def _check_samples_clear(problem: Problem, j: int, z: np.ndarray) -> None:
@@ -270,18 +278,20 @@ def solve_problem(problem: Problem, spec: ExpansionSpec = None, npts=None) -> So
     if npts is None:
         npts = default_npts(problem.components, spec)
     A, b = assemble_system(problem, spec, npts)
+    rows, cols = A.shape
     if problem.domain_kind == EXTERIOR:
         nlog = len(inner_indices(problem.components))
         x = solve_with_log_sum(A, b, nlog, -problem.source_strength)
     else:
         x = solve_least_squares(A, b)
+    del A, b  # the certificate's row blocks take the fit matrix's place
     expansion = Expansion.from_vector(
         x, problem.components, spec, source=problem.source,
         source_strength=problem.source_strength,
     )
     report = FitReport(
-        rows=A.shape[0],
-        cols=A.shape[1],
+        rows=rows,
+        cols=cols,
         npts=tuple(int(n) for n in npts),
         degrees=spec.degrees,
         outer_degree=spec.outer_degree,
@@ -297,22 +307,36 @@ _CHECK_OFFSET = {DISK: 0.5, SLIT: 0.25}
 
 
 def boundary_residual(solution: Solution, nfine) -> float:
-    """Max |u - g| over fresh boundary samples offset from the fit grid."""
+    """Max |u - g| over fresh boundary samples offset from the fit grid.
+
+    The samples of all components are stacked and evaluated in contiguous
+    blocks as tall as the fit matrix (or the largest component grid, if
+    that is taller), so the check holds no larger matrix than the fit did.
+    """
     problem = solution.problem
+    comps = problem.components
+    if not comps:
+        raise ValueError("a problem without boundary components has nothing to certify")
     if np.isscalar(nfine):
-        nfine = [int(nfine)] * len(problem.components)
+        nfine = [nfine] * len(comps)
+    nfine = [int(n) for n in nfine]
+    if len(nfine) != len(comps):
+        raise ValueError("nfine must give one count per component")
+    if any(n < 1 for n in nfine):
+        raise ValueError("nfine must be >= 1 per component")
+    z, w, owner, g = _stack_nodes(problem, [
+        boundary_nodes(comp, n, _CHECK_OFFSET[comp.kind]) for comp, n in zip(comps, nfine)
+    ])
     coeffs = solution.expansion.coefficient_vector()
+    block = max(solution.fit_report.rows, *nfine)
     worst = 0.0
-    for j, comp in enumerate(problem.components):
-        n = int(nfine[j])
-        if n < 1:
-            raise ValueError("nfine must be >= 1 per component")
-        z, w = boundary_nodes(comp, n, _CHECK_OFFSET[comp.kind])
-        u = design_matrix(z, problem.components, solution.expansion.spec,
-                          preimages=w, own_index=j) @ coeffs
+    for start in range(0, z.shape[0], block):
+        rows = slice(start, start + block)
+        u = design_matrix(z[rows], comps, solution.expansion.spec,
+                          preimages=w[rows], owner=owner[rows]) @ coeffs
         if problem.source_strength != 0.0:
-            u = u + problem.source_strength * np.log(np.abs(z - problem.source))
-        worst = max(worst, float(np.max(np.abs(u - problem.data_values(j, z)))))
+            u = u + problem.source_strength * np.log(np.abs(z[rows] - problem.source))
+        worst = max(worst, float(np.max(np.abs(u - g[rows]))))
     return worst
 
 

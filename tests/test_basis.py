@@ -7,6 +7,7 @@ from conftest import domain_points, fd_gradient
 from laplace_series import (
     Expansion,
     ExpansionSpec,
+    Problem,
     default_spec,
     disk,
     eval_expansion,
@@ -16,7 +17,7 @@ from laplace_series import (
     solve_problem,
 )
 from laplace_series.basis import column_count, column_labels, complex_derivative, design_matrix
-from laplace_series.geometry import DomainError
+from laplace_series.geometry import DomainError, boundary_nodes, joukowski_inverse
 
 
 def source_only(strength=1.0, at=0j):
@@ -39,6 +40,81 @@ def test_row_length_one_disk():
     assert row.shape == (6,)
     assert column_count(comps, spec) == 6
     assert column_labels(comps, spec) == ["C", "d[0]", "a[0,1]", "b[0,1]", "a[0,2]", "b[0,2]"]
+
+
+OWNER_CASES = {
+    "exterior": green_problem(
+        [disk(3 + 1j, 1.0), slit(-2 + 1j, 0.8 + 0.3j), slit(2.5 - 2j, 1.0 - 0.2j)],
+        source=0j,
+    ),
+    "bounded": Problem(
+        (disk(0, 4.0, role="outer"), slit(1 + 1j, 0.6j), disk(-1.5, 0.5), slit(0.5 - 2j, 0.7)),
+        "bounded", None, (0.0, 1.0, 0.0, 0.5),
+    ),
+}
+
+
+def _owner_nodes(problem, npts=24):
+    nodes = [boundary_nodes(c, npts) for c in problem.components]
+    z = np.concatenate([zw[0] for zw in nodes])
+    w = np.concatenate([zw[1] for zw in nodes])
+    owner = np.repeat(np.arange(len(nodes)), npts)
+    return z, w, owner
+
+
+@pytest.mark.parametrize("case", sorted(OWNER_CASES))
+def test_owner_rows_match_per_component_calls(case):
+    prob = OWNER_CASES[case]
+    comps, spec = prob.components, default_spec(prob, 5)
+    z, w, owner = _owner_nodes(prob)
+    stacked = design_matrix(z, comps, spec, preimages=w, owner=owner)
+    # Each component's rows alone: a block made only of one component's own rows.
+    per_component = np.vstack([
+        design_matrix(z[owner == j], comps, spec, preimages=w[owner == j],
+                      owner=owner[owner == j])
+        for j in range(len(comps))
+    ])
+    assert np.array_equal(stacked, per_component)
+    # Owners need not come in runs: any row order gives the same rows.
+    perm = np.random.default_rng(3).permutation(z.shape[0])
+    shuffled = design_matrix(z[perm], comps, spec, preimages=w[perm], owner=owner[perm])
+    assert np.array_equal(shuffled, stacked[perm])
+
+
+def test_owner_rows_take_the_stored_preimage():
+    prob = OWNER_CASES["exterior"]
+    comps, spec = prob.components, default_spec(prob, 5)
+    z, w, owner = _owner_nodes(prob)
+    # A block with no rows of the slits: their columns come from the inverse map.
+    on_disk = owner == 0
+    A = design_matrix(z[on_disk], comps, spec, preimages=w[on_disk], owner=owner[on_disk])
+    assert np.array_equal(A, design_matrix(z[on_disk], comps, spec))
+    # A block made only of slit 1's own rows: its columns come from the
+    # stored preimages, which tell the two sides of the slit apart.
+    own = owner == 1
+    A = design_matrix(z[own], comps, spec, preimages=w[own], owner=owner[own])
+    labels = column_labels(comps, spec)
+    a1, b1 = labels.index("a[1,1]"), labels.index("b[1,1]")
+    halfspan = comps[1].halfspan
+    assert np.array_equal(A[:, 2], np.log(np.abs(w[own])) + math.log(abs(halfspan) / 2.0))
+    assert np.array_equal(A[:, a1], (1.0 / w[own]).real)
+    assert np.array_equal(A[:, b1], (1.0 / w[own]).imag)
+    assert np.all(A[:12, b1] < 0) and np.all(A[12:, b1] > 0)
+    # The other slit still goes through its map on those rows.
+    w2 = joukowski_inverse(comps[2].center, comps[2].halfspan, z[own])
+    assert np.array_equal(A[:, 3], np.log(np.abs(w2)) + math.log(abs(comps[2].halfspan) / 2.0))
+
+
+def test_non_owned_row_on_a_slit_is_rejected():
+    prob = OWNER_CASES["exterior"]
+    comps, spec = prob.components, default_spec(prob, 5)
+    z, w, owner = _owner_nodes(prob)
+    wrong = owner.copy()
+    wrong[owner == 2] = 0  # slit 2's points, labelled as the disk's
+    with pytest.raises(DomainError):
+        design_matrix(z, comps, spec, preimages=w, owner=wrong)
+    with pytest.raises(ValueError, match="together"):
+        design_matrix(z, comps, spec, owner=owner)
 
 
 def test_unscaled_power_column_value():

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from laplace_series import cantor_components, cantor_inner_half_sum, cantor_measures
-from laplace_series.cantor import cantor_degree, cantor_solution
-from laplace_series.solver import harmonic_measures
+from laplace_series import basis, cantor_components, cantor_inner_half_sum, cantor_measures, solver
+from laplace_series.cantor import cantor_degree, cantor_problem, cantor_solution, cantor_spec
+from laplace_series.solver import boundary_residual, harmonic_measures, solve_problem
 
 PAPER_TABLES = {
     1: [0.5],
@@ -121,3 +121,35 @@ def test_level_eight_within_time_budget():
     assert elapsed < 120.0
     assert len(measures) == 128
     assert abs(2 * sum(measures) - 1.0) < 1e-9
+
+
+def test_each_slit_is_mapped_once_per_row_set(monkeypatch):
+    # Counts calls, measures no time: the fit, each certificate block and the
+    # symmetric fold map every slit once, not once per collocation block.
+    calls = []
+    inverse = basis.joukowski_inverse
+
+    def counting_inverse(center, halfspan, z):
+        calls.append(np.size(z))
+        return inverse(center, halfspan, z)
+
+    monkeypatch.setattr(basis, "joukowski_inverse", counting_inverse)
+    sol = solve_problem(cantor_problem(5), cantor_spec(5))
+    assert len(calls) <= 5 * 32  # one per slit in the fit and in each of 4 certificate blocks
+    calls.clear()
+    cantor_measures(5, use_symmetry=True)
+    assert len(calls) <= 32
+
+    rows = []
+    assemble = solver.design_matrix
+
+    def recording_design_matrix(z, *args, **kwargs):
+        rows.append(np.size(z))
+        return assemble(z, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "design_matrix", recording_design_matrix)
+    nfine = [4 * n for n in sol.fit_report.npts]
+    assert boundary_residual(sol, nfine) == sol.residual
+    assert sum(rows) == sum(nfine)
+    assert len(rows) <= len(nfine)
+    assert max(rows) <= max(sol.fit_report.rows, max(nfine))

@@ -9,7 +9,9 @@ from laplace_series.geometry import (
     BoundaryComponent,
     DomainError,
     boundary_nodes,
+    components_overlap,
     disk,
+    first_overlap,
     joukowski_forward,
     joukowski_inverse,
     segments_cross,
@@ -155,3 +157,27 @@ def test_segments_cross():
     assert segments_cross(-1, 1, -1j, 1j)
     assert not segments_cross(-1, 1, 2 - 1j, 2 + 1j)
     assert segments_cross(0, 1, 0.5 + 0j, 2 + 0j)  # collinear overlap
+
+
+@pytest.mark.parametrize("step", [0.5, None])
+def test_first_overlap_matches_pairwise_loop(step):
+    # The bounding-box screen must not change which pair is found: compare
+    # with the plain loop over all pairs, on a half-integer grid (exact
+    # touching is common there) and on random reals.
+    rng = np.random.default_rng(7)
+
+    def draw(lo, hi):
+        x = rng.uniform(lo, hi)
+        return round(x / step) * step if step else x
+
+    for _ in range(300):
+        comps = []
+        for _ in range(rng.integers(2, 8)):
+            center = complex(draw(-4, 4), draw(-4, 4))
+            if rng.random() < 0.5:
+                comps.append(disk(center, draw(0.5, 1.5)))
+            else:
+                comps.append(slit(center, complex(draw(0.5, 2), draw(-1, 1))))
+        pairs = [(i, j) for i in range(len(comps)) for j in range(i + 1, len(comps))]
+        expected = next((p for p in pairs if components_overlap(*(comps[k] for k in p))), None)
+        assert first_overlap(comps) == expected

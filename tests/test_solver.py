@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import domain_points
 from laplace_series import (
+    Expansion,
     ExpansionSpec,
     GeometryError,
     Problem,
@@ -23,8 +24,8 @@ from laplace_series import (
     solve_least_squares,
     solve_problem,
 )
-from laplace_series.cantor import _symmetric_measures
-from laplace_series.solver import solve_with_log_sum
+from laplace_series.cantor import _symmetric_measures, cantor_components
+from laplace_series.solver import FitReport, Solution, solve_with_log_sum
 
 U2_REF = -0.5893274981708  # converged value of u(2) for the c=3+i, r=1 disk
 
@@ -72,6 +73,37 @@ def test_problem_validation():
         )
     with pytest.raises(GeometryError, match="overlap"):
         green_problem([slit(2, 1.0), slit(2.5 + 1j, 1j)], source=0j)
+
+
+def test_first_overlapping_pair_is_reported():
+    slits = list(cantor_components(7).slits)
+    slits[77] = slits[76]
+    with pytest.raises(GeometryError, match=r"components\[76\] and components\[77\] overlap"):
+        green_problem(slits, source=0j)
+    # Mixed disks and slits; several pairs overlap and the first in (i, j)
+    # order is named, with indices counted over all components.
+    outer = disk(0, 10.0, role="outer")
+    cases = [
+        ([disk(5, 1), slit(-5, 1), disk(8, 1), slit(5.5, 2j), disk(-5, 0.5)], 1, 4),
+        ([slit(0, 1), disk(5, 1), disk(0.5 + 0.5j, 0.6), slit(5, 1)], 1, 3),
+        ([slit(-4, 1), disk(0, 1), slit(3, 1), disk(1.5, 0.5), slit(0, 2j)], 2, 4),
+        ([slit(4, 1), slit(4.5 + 1j, 2j), slit(-4, 1), disk(-4, 0.5)], 1, 2),
+        # Touching counts, also where the bounding boxes only share an edge.
+        ([slit(-3, 1), slit(0, 1), slit(1 + 1j, 1j)], 2, 3),
+        ([slit(-3, 0.5), disk(0, 1), slit(2, 1)], 2, 3),
+        ([disk(-3, 1), disk(0, 1), disk(1.5, 0.5)], 2, 3),
+    ]
+    for inner, i, j in cases:
+        comps = (outer, *inner)
+        with pytest.raises(GeometryError, match=rf"components\[{i}\] and components\[{j}\] overlap"):
+            Problem(comps, "bounded", None, (0.0,) * len(comps))
+        Problem(comps[:j], "bounded", None, (0.0,) * j)  # no overlap before j
+
+
+def test_residual_needs_one_count_per_component(two_slits):
+    for nfine in ([400], [400, 400, 400]):
+        with pytest.raises(ValueError, match="one count per component"):
+            boundary_residual(two_slits, nfine)
 
 
 def test_lstsq_square_system():
@@ -195,6 +227,10 @@ def test_empty_problem_is_rejected():
         assemble_system(prob, ExpansionSpec(degrees=()), [])
     with pytest.raises(ValueError, match="nlog=0"):
         solve_with_log_sum(np.ones((4, 2)), np.ones(4), 0, -1.0)
+    bare = Expansion((), ExpansionSpec(degrees=()), 0.0, (), (), (), source=0j,
+                     source_strength=1.0)
+    with pytest.raises(ValueError, match="without boundary components"):
+        boundary_residual(Solution(prob, bare, 0.0, FitReport(0, 0, (), ())), 4)
 
 
 def test_flux_quantization(three_disks):
