@@ -140,7 +140,8 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None
     inverse map is two-valued and the stored preimage decides the side; every
     other row of a slit block goes through the map, which raises DomainError
     for a point on that slit.  Rows of any mix of components can be stacked
-    into one call.
+    into one call.  The matrix is Fortran-ordered: it is filled column by
+    column, and a least-squares solve can factor it in place.
     """
     validate_spec(components, spec)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -152,7 +153,7 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None
         if owner.shape != z.shape or preimages.shape != z.shape:
             raise ValueError("owner and preimages must give one entry per point")
     ncols = column_count(components, spec)
-    A = np.empty((z.shape[0], ncols), dtype=float)
+    A = np.empty((z.shape[0], ncols), dtype=float, order="F")
     A[:, 0] = 1.0
 
     col = 1 + len(inner_indices(components))

@@ -113,13 +113,15 @@ def _symmetric_measures(m: int) -> list[float]:
     n = len(slits)
     right = np.arange(n // 2, n)
     mirror = n - 1 - right
-    # Cosine columns of each slit in design_matrix order; w(-z) = -w(z) maps
-    # a mirror slit's zeta^-k onto (-1)^k times the right slit's.
+    nr = len(right)
+    # Cosine columns of the right and mirror slits, slit after slit in
+    # design_matrix order; w(-z) = -w(z) maps a mirror slit's zeta^-k onto
+    # (-1)^k times the right slit's.
     deg = cantor_degree(m)
     ks = np.arange(deg)
-    cos_right = 1 + n + 2 * deg * right[:, None] + 2 * ks
-    cos_mirror = 1 + n + 2 * deg * mirror[:, None] + 2 * ks
-    sign = (-1.0) ** (ks + 1)
+    cos_right = (1 + n + 2 * deg * right[:, None] + 2 * ks).ravel()
+    cos_mirror = (1 + n + 2 * deg * mirror[:, None] + 2 * ks).ravel()
+    sign = np.tile((-1.0) ** (ks + 1), nr)
 
     npts = default_npts(slits, spec)
     halves = [npts[j] // 2 for j in right]  # the first half of the nodes covers the upper side
@@ -128,11 +130,12 @@ def _symmetric_measures(m: int) -> list[float]:
     w = np.concatenate([wj[:h] for (_, wj), h in zip(nodes, halves)])
     owner = np.repeat(right, halves)
     A = design_matrix(z, slits, spec, preimages=w, owner=owner)
-    folded = np.hstack([
-        A[:, :1],
-        A[:, 1 + right] + A[:, 1 + mirror],
-        (A[:, cos_right] + sign * A[:, cos_mirror]).reshape(z.shape[0], -1),
-    ])
+    # The fold is filled in Fortran order, so the solve factors it in place.
+    folded = np.empty((z.shape[0], 1 + nr + nr * deg), order="F")
+    folded[:, 0] = A[:, 0]
+    np.add(A[:, 1 + right], A[:, 1 + mirror], out=folded[:, 1 : 1 + nr])
+    np.multiply(sign, A[:, cos_mirror], out=folded[:, 1 + nr :])
+    folded[:, 1 + nr :] += A[:, cos_right]
     del A  # the fold holds what the solve needs
-    x = solve_with_log_sum(folded, -np.log(np.abs(z)), len(right), -0.5)
-    return [float(-d) for d in x[1 : 1 + len(right)]]
+    x = solve_with_log_sum(folded, -np.log(np.abs(z)), nr, -0.5)
+    return [float(-d) for d in x[1 : 1 + nr]]

@@ -184,16 +184,14 @@ def segments_cross(a1, a2, b1, b2):
         # min(p, q) <= r <= max(p, q): p and q are neither both above nor both below r.
         return ((p <= r) | (q <= r)) & ((p >= r) | (q >= r))
 
-    def on_seg(p, q, r):
-        return (
-            (orient(p, q, r) == 0.0)
-            & between(p.real, q.real, r.real)
-            & between(p.imag, q.imag, r.imag)
-        )
+    def on_seg(d, p, q, r):
+        # r lies on [p, q]: collinear (d = orient(p, q, r) is 0) and inside the box.
+        return (d == 0.0) & between(p.real, q.real, r.real) & between(p.imag, q.imag, r.imag)
 
     return (
         ((d1 * d2 < 0) & (d3 * d4 < 0))
-        | on_seg(b1, b2, a1) | on_seg(b1, b2, a2) | on_seg(a1, a2, b1) | on_seg(a1, a2, b2)
+        | on_seg(d1, b1, b2, a1) | on_seg(d2, b1, b2, a2)
+        | on_seg(d3, a1, a2, b1) | on_seg(d4, a1, a2, b2)
     )
 
 

@@ -3,13 +3,16 @@
 Boundary conditions are imposed at npts >> N sample points per component and
 the coefficients solve the overdetermined system in the least-squares sense.
 The samples of all components are stacked and the matrix is built by one
-design_matrix call, which maps each slit once.  Exterior problems hold
-sum(d_j) = -s exactly, which keeps the expansion regular at infinity: the last
-log coefficient is eliminated as -s minus the others before the solve and
-restored after it.  The a-posteriori certificate is the maximum boundary
-misfit on a finer, offset sample grid, evaluated in row blocks no taller than
-the fit matrix (or the largest component grid); by the maximum principle it
-bounds the solution error throughout the domain.
+design_matrix call, which maps each slit once.  The solve is a blocked
+Householder QR of that Fortran-ordered matrix, factored in its own storage;
+column pivoting (LAPACK dgelsy) runs only on the small triangular factor, and
+only when that is too ill-conditioned to solve with directly.  Exterior
+problems hold sum(d_j) = -s exactly, which keeps the expansion regular at
+infinity: the last log coefficient is eliminated as -s minus the others
+before the solve and restored after it.  The a-posteriori certificate is
+the maximum boundary misfit on a finer, offset sample grid, evaluated in row
+blocks no taller than the fit matrix (or the largest component grid); by the
+maximum principle it bounds the solution error throughout the domain.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import (
+    dgelsy,
+    dgelsy_lwork,
+    dgeqrf,
+    dgeqrf_lwork,
+    dormqr,
+    dtrcon,
+    dtrtrs,
+)
 
 from .basis import (
     Expansion,
@@ -47,7 +58,8 @@ BOUNDED = "bounded"
 
 BoundaryData = Union[float, Callable[[np.ndarray], np.ndarray]]
 
-# Pivot threshold for rank-deficient least-squares systems.
+# Pivot threshold of the rank-revealing fallback that solve_least_squares
+# takes when the triangular factor R is too ill-conditioned to solve with.
 RANK_TOL = 1e-13
 
 
@@ -238,20 +250,45 @@ def assemble_system(problem: Problem, spec: ExpansionSpec, npts: Sequence[int]):
     return _boundary_rows(problem, spec, npts)
 
 
-def solve_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimize ||Ax - b||_2 by a column-pivoted orthogonal factorization.
+def solve_least_squares(A: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+    """Minimize ||Ax - b||_2 by blocked Householder QR, A = QR.
 
-    Small pivots are truncated at relative threshold RANK_TOL, so duplicated
-    or nearly dependent columns still give a finite minimizer.
+    With c = Q^T b, x solves R x = c[:n] when LAPACK's dtrcon estimate of the
+    reciprocal 1-norm condition number of R is at least n*RANK_TOL, which
+    (as cond_2 <= n*cond_1) keeps cond_2(R) below 1/RANK_TOL up to the
+    estimate's accuracy.  Otherwise LAPACK's column-pivoting dgelsy runs on
+    (R, c[:n]) with pivot threshold RANK_TOL.  Since ||Ax - b||^2 =
+    ||Rx - c[:n]||^2 + ||c[n:]||^2 and Q changes no pivot choice, that is the
+    minimum-norm, rank-truncated answer dgelsy gives on A itself, so
+    duplicated or nearly dependent columns still give a finite minimizer.
+
+    A and b are left unchanged unless ``overwrite_a`` is true; then A's
+    storage may hold the factorization afterwards, and a Fortran-ordered
+    float64 A is factored in place, without a copy.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] < A.shape[1]:
-        raise ValueError(f"need rows >= cols, got shape {A.shape}")
+    if A.ndim != 2 or not A.shape[0] >= A.shape[1] >= 1:
+        raise ValueError(f"need rows >= cols >= 1, got shape {A.shape}")
+    if b.shape != A.shape[:1]:
+        raise ValueError(f"right-hand side of shape {b.shape} does not match {A.shape[0]} rows")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("matrix and right-hand side must be finite")
-    x, _, _, _ = scipy.linalg.lstsq(A, b, cond=RANK_TOL, lapack_driver="gelsy")
-    return x
+    m, n = A.shape
+    qr = np.asarray(A, order="F") if overwrite_a else np.array(A, order="F")
+    qr, tau, _, _ = dgeqrf(qr, lwork=int(dgeqrf_lwork(m, n)[0]), overwrite_a=1)
+    # lwork=1 selects the unblocked dorm2r, the faster one for a single column.
+    c, _, _ = dormqr("L", "T", qr, tau, b[:, None], lwork=1)
+    rcond, _ = dtrcon(qr[:n])
+    if rcond >= n * RANK_TOL:
+        x, info = dtrtrs(qr, c, overwrite_b=1)
+    else:
+        lwork = int(dgelsy_lwork(n, n, 1, RANK_TOL)[0])
+        _, x, _, _, info = dgelsy(np.triu(qr[:n]), c[:n], np.zeros(n, dtype=np.int32),
+                                  RANK_TOL, lwork, overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"least-squares solve failed (LAPACK info {info})")
+    return x[:n, 0]
 
 
 def solve_with_log_sum(A: np.ndarray, b: np.ndarray, nlog: int, total: float) -> np.ndarray:
@@ -267,7 +304,7 @@ def solve_with_log_sum(A: np.ndarray, b: np.ndarray, nlog: int, total: float) ->
     a = A[:, nlog].copy()
     A[:, 1:nlog] -= a[:, None]
     A[:, nlog] = A[:, -1]
-    y = solve_least_squares(A[:, :-1], b - total * a)
+    y = solve_least_squares(A[:, :-1], b - total * a, overwrite_a=True)
     return np.concatenate([y[:nlog], [total - y[1:nlog].sum()], y[nlog + 1 :], y[nlog : nlog + 1]])
 
 
@@ -283,7 +320,7 @@ def solve_problem(problem: Problem, spec: ExpansionSpec = None, npts=None) -> So
         nlog = len(inner_indices(problem.components))
         x = solve_with_log_sum(A, b, nlog, -problem.source_strength)
     else:
-        x = solve_least_squares(A, b)
+        x = solve_least_squares(A, b, overwrite_a=True)
     del A, b  # the certificate's row blocks take the fit matrix's place
     expansion = Expansion.from_vector(
         x, problem.components, spec, source=problem.source,

@@ -1,3 +1,14 @@
+import os
+import sys
+
+# Timed gates (acceptance criteria 1, 2 and 4, the Cantor level-8 budget) must
+# not depend on BLAS thread scheduling: pin BLAS to one thread, as
+# test_scripts.py does for its subprocesses.  The setting is read when numpy
+# loads, so it only takes effect if nothing imported numpy before this file.
+assert "numpy" not in sys.modules, "numpy was imported before tests/conftest.py"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,20 @@ from laplace_series import (
     solve_least_squares,
     solve_problem,
 )
-from laplace_series.cantor import _symmetric_measures, cantor_components
-from laplace_series.solver import FitReport, Solution, solve_with_log_sum
+from laplace_series import solver
+from laplace_series.cantor import (
+    _symmetric_measures,
+    cantor_components,
+    cantor_problem,
+    cantor_spec,
+)
+from laplace_series.solver import (
+    RANK_TOL,
+    FitReport,
+    Solution,
+    default_npts,
+    solve_with_log_sum,
+)
 
 U2_REF = -0.5893274981708  # converged value of u(2) for the c=3+i, r=1 disk
 
@@ -147,6 +160,83 @@ def test_lstsq_never_worse_than_zero(cols, seed):
     b = rng.standard_normal(cols + 5)
     x = solve_least_squares(A, b)
     assert np.linalg.norm(A @ x - b) <= np.linalg.norm(b) + 1e-12
+
+
+def test_lstsq_leaves_its_inputs_unchanged():
+    # A one-column matrix is both C- and F-contiguous, so contiguity must not
+    # decide whether the caller's matrix is factored in place.  A duplicated
+    # column sends the solve down the rank-revealing fallback.
+    rng = np.random.default_rng(7)
+    for cols in range(1, 7):
+        for order in ("C", "F"):
+            for duplicate in (False, True):
+                A = np.array(rng.standard_normal((cols + 5, cols)), order=order)
+                if duplicate:
+                    A[:, -1] = A[:, 0]
+                b = rng.standard_normal(cols + 5)
+                A0, b0 = A.copy(order="K"), b.copy()
+                solve_least_squares(A, b)
+                assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes()
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Shapes of the matrices handed to dgelsy, the rank-revealing fallback."""
+    calls = []
+    real = solver.dgelsy
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "dgelsy", counting)
+    return calls
+
+
+def _rank_deficient_systems():
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((30, 4))
+    yield np.column_stack([A, A[:, 1]]), rng.standard_normal(30)  # duplicated column
+    A = rng.standard_normal((40, 6))
+    A[:, 4] = 2.0 * A[:, 1]  # exactly dependent
+    A[:, 5] = A[:, 3] + 1e-14 * rng.standard_normal(40)
+    yield A, rng.standard_normal(40)
+    # Unscaled disk columns grow like r^-k: rcond of R is about 5e-30.
+    prob = green_problem([disk(2 + 1j, 0.2), slit(-2 - 1j, 1 + 0.5j)], source=0j)
+    spec = default_spec(prob, degree=20, scaled=False)
+    yield assemble_system(prob, spec, default_npts(prob.components, spec))
+
+
+def test_fallback_matches_gelsy_on_the_full_matrix(fallbacks):
+    # dgelsy on R and (Q^T b)[:n] must give dgelsy's answer on A itself.
+    for k, (A, b) in enumerate(_rank_deficient_systems(), start=1):
+        x = solve_least_squares(A, b)
+        want = scipy.linalg.lstsq(A, b, cond=RANK_TOL, lapack_driver="gelsy")[0]
+        assert np.max(np.abs(x - want)) <= 1e-12
+        assert abs(np.linalg.norm(A @ x - b) - np.linalg.norm(A @ want - b)) <= 1e-12
+        assert len(fallbacks) == k and fallbacks[-1] == (A.shape[1], A.shape[1])  # R, not A
+
+
+def test_fallback_stays_off_on_well_posed_fits(fallbacks, disk1, slit1, three_disks):
+    for sol in (disk1, slit1, three_disks):
+        again = solve_problem(sol.problem, sol.expansion.spec, sol.fit_report.npts)
+        assert again.expansion == sol.expansion
+    solve_problem(cantor_problem(5), cantor_spec(5))
+    assert fallbacks == []
+
+
+def test_log_sum_solve_factors_in_place():
+    # Counts bytes, times nothing: the solve allocates no copy of the matrix.
+    prob, spec = cantor_problem(5), cantor_spec(5)
+    A, b = assemble_system(prob, spec, default_npts(prob.components, spec))
+    nbytes = A.nbytes
+    tracemalloc.start()
+    try:
+        solve_with_log_sum(A, b, len(prob.components), -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * nbytes
 
 
 def test_disk1_paper_digits():
