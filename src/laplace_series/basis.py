@@ -16,7 +16,9 @@ T_0 = (z - c_0)/r_0 uses positive powers.  The source term has a fixed unit
 coefficient and never enters the fitted columns.
 
 Gradients use the identity grad Re f = conj(f') applied to the analytic
-completion of each term.
+completion of each term.  ``design_matrix`` is the one assembly path; one
+evaluator gives u, f' or both without it, mapping each slit once per call and
+summing each block's series by Horner's rule.
 """
 
 from __future__ import annotations
@@ -208,6 +210,14 @@ class Expansion:
         vals += list(self.outer_cos) + list(self.outer_sin)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("expansion coefficients must be finite")
+        # Complex coefficients c_k = a_k - i b_k per block, for the evaluator;
+        # not dataclass fields, so == and from_vector ignore them.
+        object.__setattr__(self, "_inner", tuple(
+            np.array(a, dtype=float) - 1j * np.array(b, dtype=float)
+            for a, b in zip(self.cos_coeffs, self.sin_coeffs)
+        ))
+        object.__setattr__(self, "_outer", np.array(self.outer_cos, dtype=float)
+                           - 1j * np.array(self.outer_sin, dtype=float))
 
     @classmethod
     def from_vector(cls, vec, components, spec, source=None, source_strength=0.0):
@@ -240,18 +250,9 @@ class Expansion:
         )
 
     def coefficient_vector(self) -> np.ndarray:
-        vec = [self.constant, *self.log_coeffs]
-        for a_row, b_row in zip(self.cos_coeffs, self.sin_coeffs):
-            for a, b in zip(a_row, b_row):
-                vec += [a, b]
-        for a, b in zip(self.outer_cos, self.outer_sin):
-            vec += [a, b]
-        return np.asarray(vec, dtype=float)
-
-
-def _check_not_at_source(exp: Expansion, z: np.ndarray) -> None:
-    if exp.source_strength != 0.0 and exp.source is not None and np.any(z == exp.source):
-        raise DomainError("the field is unbounded at the source point")
+        """The coefficients in design_matrix column order: C, d_j, then (a_k, b_k) pairs."""
+        c = np.concatenate([*self._inner, self._outer])
+        return np.concatenate([[self.constant, *self.log_coeffs], c.conj().view(float)])
 
 
 def singular_mask(exp: Expansion, z) -> np.ndarray:
@@ -274,15 +275,68 @@ def singular_mask(exp: Expansion, z) -> np.ndarray:
     return bad
 
 
-def eval_expansion(exp: Expansion, z):
-    """Evaluate u at z (scalar or array); z must be off all slits and sources."""
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    za = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_not_at_source(exp, za)
-    u = design_matrix(za, exp.components, exp.spec) @ exp.coefficient_vector()
+def _horner(coeffs, t):
+    """sum_i coeffs[i] t^i by Horner's rule (zero for no coefficients)."""
+    acc = np.zeros(t.shape, dtype=complex)
+    for c in coeffs[::-1]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
+    """(u, f') at z, each None unless asked for; a scalar z gives Python scalars.
+
+    The analytic completion f has u = Re f and grad u = conj f'.  Block j
+    adds d_j (log|zeta| + offset) + Re sum_k c_jk zeta^-k to u and
+    (d_j - sum_k k c_jk zeta^-k) zeta'/zeta to f', with c_jk = a_jk - i b_jk;
+    both sums run by Horner's rule in 1/zeta, so no basis matrix is built and
+    each slit is mapped once per call.
+    """
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    u = np.full(z.shape, exp.constant) if want_u else None
+    fp = np.zeros_like(z) if want_fp else None
     if exp.source_strength != 0.0:
-        u = u + exp.source_strength * np.log(np.abs(za - exp.source))
-    return float(u[0]) if scalar else u
+        if np.any(z == exp.source):
+            raise DomainError("the field is unbounded at the source point")
+        if want_u:
+            u += exp.source_strength * np.log(np.abs(z - exp.source))
+        if want_fp:
+            fp += exp.source_strength / (z - exp.source)
+    for slot, j, zeta, offset in _local_coordinates(z, exp.components, exp.spec):
+        comp, c, d = exp.components[j], exp._inner[slot], exp.log_coeffs[slot]
+        if comp.kind == DISK and np.any(zeta == 0):
+            raise DomainError("expansion is singular at a component center")
+        t = 1.0 / zeta
+        if want_u:
+            u += d * (np.log(np.abs(zeta)) + offset) + (t * _horner(c, t)).real
+        if want_fp:
+            if comp.kind == DISK:
+                dlog = 1.0 / (z - comp.center)
+            else:
+                denom = 1.0 - t * t
+                if np.any(np.abs(denom) < 1e-13):
+                    raise DomainError("derivative is singular at a slit endpoint")
+                dlog = 2.0 / (comp.halfspan * denom * zeta)
+            fp += (d - t * _horner(np.arange(1, c.size + 1) * c, t)) * dlog
+    if exp.spec.outer_degree > 0:
+        out = exp.components[outer_index(exp.components)]
+        c = exp._outer
+        t = (z - out.center) / out.radius
+        if want_u:
+            u += (t * _horner(c, t)).real
+        if want_fp:
+            # d/dz t^k = k t^(k-1) / r_0
+            fp += _horner(np.arange(1, c.size + 1) * c, t) / out.radius
+    if scalar:
+        return (None if u is None else float(u[0]), None if fp is None else complex(fp[0]))
+    return u, fp
+
+
+def eval_expansion(exp: Expansion, z):
+    """Evaluate u at z (scalar or array), off every slit, source and disk center."""
+    return _evaluate(exp, z, want_u=True)[0]
 
 
 def complex_derivative(exp: Expansion, z):
@@ -290,40 +344,7 @@ def complex_derivative(exp: Expansion, z):
 
     A scalar z gives a Python complex, an array an array.
     """
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_not_at_source(exp, z)
-    fp = np.zeros_like(z)
-    if exp.source_strength != 0.0:
-        fp += exp.source_strength / (z - exp.source)
-    # Block j contributes (d_j - sum_k k c_jk zeta^-k) zeta'/zeta, c_jk = a_jk - i b_jk.
-    for slot, j, zeta, _ in _local_coordinates(z, exp.components, exp.spec):
-        comp = exp.components[j]
-        if comp.kind == DISK:
-            if np.any(zeta == 0):
-                raise DomainError("expansion is singular at a component center")
-            dlog = 1.0 / (z - comp.center)
-        else:
-            denom = 1.0 - zeta**-2
-            if np.any(np.abs(denom) < 1e-13):
-                raise DomainError("derivative is singular at a slit endpoint")
-            dlog = 2.0 / (comp.halfspan * denom * zeta)
-        n = exp.spec.degrees[j]
-        kc = np.arange(1, n + 1) * (
-            np.array(exp.cos_coeffs[slot]) - 1j * np.array(exp.sin_coeffs[slot])
-        )
-        fp += (exp.log_coeffs[slot] - _powers(1.0 / zeta, n) @ kc) * dlog
-    if exp.spec.outer_degree > 0:
-        oj = outer_index(exp.components)
-        out = exp.components[oj]
-        ab = np.array(exp.outer_cos) - 1j * np.array(exp.outer_sin)
-        t = (z - out.center) / out.radius
-        n = exp.spec.outer_degree
-        ks = np.arange(1, n + 1)
-        # d/dz of t^k = k t^(k-1) / r0
-        pm1 = np.concatenate([np.ones((z.shape[0], 1)), _powers(t, n - 1)], axis=1)
-        fp += (pm1 @ (ks * ab)) / out.radius
-    return complex(fp[0]) if scalar else fp
+    return _evaluate(exp, z, want_u=False, want_fp=True)[1]
 
 
 def eval_gradient(exp: Expansion, z):

@@ -4,7 +4,8 @@ Streamlines integrate dz/dt = grad u / |grad u| with an embedded 2nd/3rd-order
 Runge-Kutta pair and a small step cap; large steps near slits risk hopping
 over the slit and picking the wrong branch, so steps that would cross a slit
 are rejected outright.  All lines of a fan advance in lockstep, with one
-vectorized evaluation per stage for every live line.  Equipotentials come from
+vectorized evaluation per stage for every live line; the last stage gives u
+and f' at the step end from one call.  Equipotentials come from
 marching squares on a masked grid rather than ODE tracing, which sidesteps
 branch bookkeeping when the topology changes.  Contour vertices are
 grid-edge crossings, each computed once, so joins are exact at any scale.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import complex_derivative, eval_expansion, singular_mask
+from .basis import _evaluate, complex_derivative, eval_expansion, singular_mask
 from .geometry import (
     DISK,
     OUTER,
@@ -46,6 +47,8 @@ class Polyline:
 
     ``value`` is the contour level or the streamline seed angle.  ``termination``
     is None for closed contour loops (first vertex repeated at the end).
+    ``rejected_steps`` counts a streamline's rejected trial steps; it is 0 for
+    contours.
     """
 
     points: tuple[complex, ...]
@@ -54,6 +57,7 @@ class Polyline:
     termination: str | None
     component_index: int | None = None
     stagnated: bool = False
+    rejected_steps: int = 0
 
     def __post_init__(self):
         if len(self.points) < 2:
@@ -154,47 +158,52 @@ def _outside_domain(problem, z):
 _OK, _UNDEFINED, _STAGNANT = 0, 1, 2
 
 
-def _directions(exp, z, status):
-    """Unit ascent directions conj(f')/|f'| at z for the lines whose status is _OK.
+def _directions(exp, z, status, want_u=False):
+    """Unit ascent directions conj(f')/|f'| at z for the lines whose status is
+    _OK, and u there, from one evaluation (u is nan unless ``want_u``).
 
     A point where the expansion is undefined marks its line _UNDEFINED and
     |f'| < 1e-12 marks it _STAGNANT, so one line's failure leaves the others
-    running.  Lines that are not _OK get a zero direction.
+    running.  Lines that are not _OK get a zero direction and u = nan.
     """
     k = np.zeros(z.shape, dtype=complex)
+    u = np.full(z.shape, np.nan)
     todo = np.flatnonzero(status == _OK)
     bad = singular_mask(exp, z[todo])
     status[todo[bad]] = _UNDEFINED
     todo = todo[~bad]
     if todo.size == 0:
-        return k
+        return k, u
     try:
-        fp = complex_derivative(exp, z[todo])
+        ut, fp = _evaluate(exp, z[todo], want_u, True)
     except DomainError:
         # f' is singular within rounding of a slit endpoint; single out those lines.
-        fp = np.empty(todo.size, dtype=complex)
+        ut, fp = np.full(todo.size, np.nan), np.full(todo.size, np.nan, dtype=complex)
         for n, i in enumerate(todo):
             try:
-                fp[n] = complex_derivative(exp, z[i])
+                ut[n], fp[n] = _evaluate(exp, z[i], True, True)
             except DomainError:
-                fp[n] = np.nan
+                pass
         status[todo[np.isnan(fp)]] = _UNDEFINED
     mag = np.abs(fp)
     status[todo[mag < 1e-12]] = _STAGNANT
     good = mag >= 1e-12
     k[todo[good]] = np.conj(fp[good]) / mag[good]
-    return k
+    if want_u:
+        u[todo[good]] = ut[good]
+    return k, u
 
 
 def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polyline]:
     """Climb the gradient from every seed in lockstep; one Polyline per seed.
 
     Each pass makes one trial step on every live line: three vectorized f'
-    stages (the first stage reuses the direction at the current point) and one
-    vectorized u evaluation.  A line accepts its step only when the embedded
-    error estimate passes, u strictly increases, and the step does not jump
-    across a boundary; rejected steps shrink.  Lines stop independently at a
-    boundary, at the window edge, or at the step cap.
+    stages (the first stage reuses the direction at the current point), the
+    last of which also gives u at the step end.  A line accepts its step only
+    when the embedded error estimate passes, u strictly increases, and the
+    step does not jump across a boundary; rejected steps shrink and are
+    counted per line.  Lines stop independently at a boundary, at the window
+    edge, or at the step cap.
     """
     problem = solution.problem
     exp = solution.expansion
@@ -205,8 +214,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     if np.any(_outside_domain(problem, z) | ~_in_window(window, z) | singular_mask(exp, z)):
         raise ValueError("streamline seed lies outside the domain")
     try:
-        u = eval_expansion(exp, z)
-        fp = complex_derivative(exp, z)
+        u, fp = _evaluate(exp, z, True, True)
     except DomainError:
         raise ValueError("streamline seed lies outside the domain")
 
@@ -227,6 +235,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     stop(np.flatnonzero(mag < 1e-12), STEP_LIMIT, True)
     h = np.full(z.size, opts.h_max / 8.0)
     steps = np.zeros(z.size, dtype=int)
+    rejected = np.zeros(z.size, dtype=int)
     while True:
         stop(np.flatnonzero(live & (steps >= opts.max_steps)), STEP_LIMIT, False)
         idx = np.flatnonzero(live)
@@ -234,15 +243,12 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
             break
         zi, hi, ka = z[idx], h[idx], k1[idx]
         status = np.zeros(idx.size, dtype=np.int8)
-        kb = _directions(exp, zi + 0.5 * hi * ka, status)
-        kc = _directions(exp, zi + 0.75 * hi * kb, status)
+        kb, _ = _directions(exp, zi + 0.5 * hi * ka, status)
+        kc, _ = _directions(exp, zi + 0.75 * hi * kb, status)
         z_new = zi + hi * (2.0 * ka + 3.0 * kb + 4.0 * kc) / 9.0
-        kd = _directions(exp, z_new, status)
+        kd, u_new = _directions(exp, z_new, status, want_u=True)
         err = np.abs(hi * (-5.0 * ka + 6.0 * kb + 8.0 * kc - 9.0 * kd) / 72.0)
         ok = status == _OK
-        u_new = np.full(idx.size, np.nan)
-        if ok.any():
-            u_new[ok] = eval_expansion(exp, z_new[ok])
 
         shrink = ok & (err > tol) & (hi > h_min)
         factor = np.maximum(0.25, 0.9 * (tol / err[shrink]) ** (1.0 / 3.0))
@@ -260,6 +266,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
         stop(idx[status == _STAGNANT], STEP_LIMIT, True)
         halve = (undefined | cross | descend) & ~tiny
         h[idx[halve]] = np.maximum(hi[halve] / 2.0, h_min)
+        rejected[idx[shrink | undefined | cross | descend]] += 1
 
         accept = rest & ~cross & ~descend
         lines, za = idx[accept], z_new[accept]
@@ -277,7 +284,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
         factor = np.full(e.shape, 4.0)
         factor[e > 0] = np.minimum(4.0, 0.9 * (tol / e[e > 0]) ** (1.0 / 3.0))
         h[lines[go]] = np.minimum(hi[accept][go] * factor, opts.h_max)
-    return [_polyline(p, *end, p[0], problem) for p, end in zip(paths, ends)]
+    return [_polyline(p, *end, p[0], problem, int(r)) for p, end, r in zip(paths, ends, rejected)]
 
 
 def trace_streamline(solution: Solution, z0: complex, opts: TraceOptions = None) -> Polyline:
@@ -295,7 +302,8 @@ def _seed_angle(z0: complex, problem) -> float:
     return math.atan2((z0 - origin).imag, (z0 - origin).real)
 
 
-def _polyline(points, termination, component_index, stagnated, z0, problem) -> Polyline:
+def _polyline(points, termination, component_index, stagnated, z0, problem,
+              rejected_steps) -> Polyline:
     # Degenerate immediate stops get a microscopic pad so the polyline keeps
     # its two-point invariant.
     if len(points) == 1:
@@ -307,6 +315,7 @@ def _polyline(points, termination, component_index, stagnated, z0, problem) -> P
         termination=termination,
         component_index=component_index,
         stagnated=stagnated,
+        rejected_steps=rejected_steps,
     )
 
 

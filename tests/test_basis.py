@@ -16,7 +16,15 @@ from laplace_series import (
     slit,
     solve_problem,
 )
-from laplace_series.basis import column_count, column_labels, complex_derivative, design_matrix
+from laplace_series.basis import (
+    _evaluate,
+    _local_coordinates,
+    _powers,
+    column_count,
+    column_labels,
+    complex_derivative,
+    design_matrix,
+)
 from laplace_series.geometry import DomainError, boundary_nodes, joukowski_inverse
 
 
@@ -170,6 +178,21 @@ def test_derivative_rejects_disk_center():
     assert type(complex_derivative(exp, 3 + 0j)) is complex
 
 
+@pytest.mark.parametrize("degree", [0, 2])
+def test_eval_rejects_disk_center(degree):
+    comps = (disk(1 + 1j, 0.5),)
+    exp = Expansion(
+        components=comps, spec=ExpansionSpec(degrees=(degree,)), constant=0.0,
+        log_coeffs=(-1.0,), cos_coeffs=((0.3,) * degree,), sin_coeffs=((0.1,) * degree,),
+        source=0j, source_strength=1.0,
+    )
+    for z in (1 + 1j, np.array([3 + 0j, 1 + 1j])):
+        with pytest.raises(DomainError, match="component center"):
+            eval_expansion(exp, z)
+        with pytest.raises(DomainError, match="component center"):
+            complex_derivative(exp, z)
+
+
 def test_gradient_of_pure_log():
     exp = source_only()
     assert abs(eval_gradient(exp, 2.0 + 0j) - 0.5) < 1e-15
@@ -255,3 +278,77 @@ def test_vector_round_trip(three_disks):
         source_strength=exp.source_strength,
     )
     assert again == exp
+
+
+@pytest.fixture(scope="module")
+def evaluator_cases(disk1, slit1):
+    """Scaled disk, unscaled disks, slit, and a source-free bounded problem
+    whose outer block carries positive powers."""
+    prob = green_problem([disk(2 + 1j, 0.5), disk(-2 - 2j, 1.0)], source=0j)
+    unscaled = solve_problem(prob, default_spec(prob, degree=12, scaled=False))
+    bounded = Problem(
+        (disk(0, 6.0, role="outer"), disk(-2 + 1j, 0.8), slit(2 - 1j, 1 + 0.3j)),
+        "bounded", None, (0.0, 1.0, -0.5),
+    )
+    return [disk1, unscaled, slit1, solve_problem(bounded, default_spec(bounded, degree=10))]
+
+
+def _reference_fprime(exp, z):
+    """f' from power tables, term by term as the module docstring writes it."""
+    fp = np.zeros_like(z)
+    if exp.source_strength != 0.0:
+        fp += exp.source_strength / (z - exp.source)
+    for slot, j, zeta, _ in _local_coordinates(z, exp.components, exp.spec):
+        comp = exp.components[j]
+        if comp.kind == "disk":
+            dlog = 1.0 / (z - comp.center)
+        else:
+            dlog = 2.0 / (comp.halfspan * (1.0 - zeta**-2) * zeta)
+        n = exp.spec.degrees[j]
+        c = np.array(exp.cos_coeffs[slot]) - 1j * np.array(exp.sin_coeffs[slot])
+        fp += (exp.log_coeffs[slot] - _powers(1.0 / zeta, n) @ (np.arange(1, n + 1) * c)) * dlog
+    n = exp.spec.outer_degree
+    if n:
+        out = next(c for c in exp.components if c.role == "outer")
+        c = np.array(exp.outer_cos) - 1j * np.array(exp.outer_sin)
+        t = (z - out.center) / out.radius
+        powers = np.concatenate([np.ones((z.size, 1)), _powers(t, n - 1)], axis=1)
+        fp += powers @ (np.arange(1, n + 1) * c) / out.radius
+    return fp
+
+
+def test_horner_matches_design_matrix(evaluator_cases):
+    for sol in evaluator_cases:
+        exp = sol.expansion
+        pts = domain_points(sol.problem, 200, seed=21)
+        ref = design_matrix(pts, exp.components, exp.spec) @ exp.coefficient_vector()
+        if exp.source_strength != 0.0:
+            ref += exp.source_strength * np.log(np.abs(pts - exp.source))
+        u = eval_expansion(exp, pts)
+        assert np.all(np.abs(u - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        fp, fp_ref = complex_derivative(exp, pts), _reference_fprime(exp, pts)
+        assert np.all(np.abs(fp - fp_ref) <= 1e-13 * np.maximum(1.0, np.abs(fp_ref)))
+
+
+def test_scalar_and_array_evaluations_agree(evaluator_cases):
+    tol = 4 * np.finfo(float).eps
+    for sol in evaluator_cases:
+        exp = sol.expansion
+        pts = domain_points(sol.problem, 20, seed=23)
+        u, fp = _evaluate(exp, pts, True, True)
+        for z, uz, fz in zip(pts, u, fp):
+            us, fs = _evaluate(exp, complex(z), True, True)
+            assert type(us) is float and type(fs) is complex
+            assert abs(us - uz) <= tol * max(1.0, abs(uz))
+            assert abs(fs - fz) <= tol * max(1.0, abs(fz))
+
+
+def test_one_call_gives_both_values_bit_for_bit(evaluator_cases):
+    for sol in evaluator_cases:
+        exp = sol.expansion
+        pts = domain_points(sol.problem, 50, seed=25)
+        u, fp = _evaluate(exp, pts, True, True)
+        assert np.array_equal(u, eval_expansion(exp, pts))
+        assert np.array_equal(fp, complex_derivative(exp, pts))
+        assert _evaluate(exp, pts, True, False)[1] is None
+        assert _evaluate(exp, pts, False, True)[0] is None

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from laplace_series import (
     streamline_fan,
     trace_streamline,
 )
-from laplace_series import field
+from laplace_series import basis, field
 from laplace_series.field import (
     _OK,
     _UNDEFINED,
@@ -32,6 +33,7 @@ from laplace_series.field import (
     LEFT_WINDOW,
     STEP_LIMIT,
     _directions,
+    _domain_mask,
 )
 from laplace_series.geometry import segments_cross
 from laplace_series.solver import FitReport
@@ -168,7 +170,7 @@ def test_stage_failures_stay_on_their_line():
     )
     z = np.array([2.5 + 0j, 0.5 + 0.5j, 3.0 + 1e-300j, 0j, -1.0 + 0j])
     status = np.zeros(z.size, dtype=np.int8)
-    k = _directions(exp, z, status)
+    k, _ = _directions(exp, z, status)
     assert status.tolist() == [_UNDEFINED, _OK, _UNDEFINED, _UNDEFINED, _OK]
     g = eval_gradient(exp, z[[1, 4]])
     assert np.allclose(k[[1, 4]], g / np.abs(g), rtol=0, atol=1e-15)
@@ -318,3 +320,46 @@ def test_slit_side_measure_argument_errors(disk1, slit1):
         slit_side_measure(disk1, 0, "facing")
     with pytest.raises(ValueError):
         slit_side_measure(slit1, 0, "leeward")
+
+
+def test_evaluation_builds_no_design_matrix(disk1, slit1, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("design_matrix called during evaluation")
+
+    monkeypatch.setattr(basis, "design_matrix", refuse)
+    for sol in (disk1, slit1):
+        pts = np.array([0.5 + 0.5j, -1.0 + 2.0j])
+        assert np.all(np.isfinite(eval_expansion(sol.expansion, pts)))
+        assert np.all(np.isfinite(basis.complex_derivative(sol.expansion, pts)))
+        window = default_window(sol.problem)
+        assert extract_contours(sol, [-0.2, -0.1], window, 60)
+        fan = streamline_fan(sol, 8, 0.01, TraceOptions(window=window))
+        assert {line.termination for line in fan} <= {HIT_BOUNDARY, LEFT_WINDOW}
+
+
+def test_grid_evaluation_holds_no_matrix():
+    # The figure benchmark's geometry: u on a 240x240 grid over the window.
+    prob = green_problem([disk(-2 + 1j, 0.8), slit(2.5 - 0.5j, cmath.exp(0.4j))], source=0j)
+    sol = solve_problem(prob, default_spec(prob, degree=12))
+    x0, x1, y0, y1 = default_window(prob)
+    X, Y = np.meshgrid(np.linspace(x0, x1, 240), np.linspace(y0, y1, 240))
+    z = (X + 1j * Y)[_domain_mask(prob, X, Y)]
+    matrix_bytes = z.size * basis.column_count(prob.components, sol.expansion.spec) * 8
+    tracemalloc.start()
+    try:
+        eval_expansion(sol.expansion, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * matrix_bytes
+
+
+def test_rejected_steps_are_counted(disk1):
+    window = default_window(disk1.problem)
+    opts = TraceOptions(window=window, step_tol=1e-8)
+    fan = streamline_fan(disk1, 8, 0.01, opts)
+    assert min(line.rejected_steps for line in fan) > 0
+    alone = trace_streamline(disk1, disk1.problem.source + 0.01, opts)
+    assert alone.rejected_steps == fan[0].rejected_steps
+    contours = extract_contours(disk1, [-0.2], window, 60)
+    assert contours and all(poly.rejected_steps == 0 for poly in contours)
