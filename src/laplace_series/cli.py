@@ -342,10 +342,11 @@ def _auto_levels(solution: Solution, window, n: int = 12) -> tuple[float, ...]:
     xs = np.linspace(x0, x1, 60)
     ys = np.linspace(y0, y1, 60)
     X, Y = np.meshgrid(xs, ys)
-    mask = _domain_mask(solution.problem, X, Y)
+    Z = X + 1j * Y
+    mask = _domain_mask(solution.problem, Z)
     if solution.problem.source is not None:
-        mask &= np.abs(X + 1j * Y - solution.problem.source) > 0.05 * (x1 - x0)
-    z = (X + 1j * Y)[mask]
+        mask &= np.abs(Z - solution.problem.source) > 0.05 * (x1 - x0)
+    z = Z[mask]
     if z.size == 0:
         return ()
     u = eval_expansion(solution.expansion, z)
@@ -448,14 +449,8 @@ def emit_svg(polylines, components, window) -> str:
 
 
 def _default_eps(problem: Problem) -> float:
-    dists = [
-        boundary_distance(c, problem.source)
-        for c in problem.components
-        if c.role != OUTER
-    ]
-    if not dists:
-        return 0.05
-    return 0.25 * min(dists)
+    """A quarter of the source's distance to the nearest boundary."""
+    return 0.25 * min(boundary_distance(c, problem.source) for c in problem.components)
 
 
 def _field_polylines(solution: Solution, cfg: RunConfig, want_contours: bool,

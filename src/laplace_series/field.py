@@ -20,15 +20,14 @@ import numpy as np
 
 from .basis import _evaluate, complex_derivative, eval_expansion, singular_mask
 from .geometry import (
-    DISK,
-    OUTER,
     SLIT,
     DomainError,
     boundary_distance,
-    contains,
+    bounding_boxes,
+    first_hole,
+    in_hole,
     joukowski_forward,
     joukowski_inverse,
-    on_slit,
     segments_cross,
 )
 from .solver import Solution
@@ -76,24 +75,17 @@ class TraceOptions:
 
 def default_window(problem, pad: float = 1.6) -> tuple[float, float, float, float]:
     """A square window around all components and the source."""
-    xs, ys = [], []
-    for comp in problem.components:
-        if comp.kind == DISK:
-            xs += [comp.center.real - comp.radius, comp.center.real + comp.radius]
-            ys += [comp.center.imag - comp.radius, comp.center.imag + comp.radius]
-        else:
-            for e in comp.endpoints:
-                xs.append(e.real)
-                ys.append(e.imag)
+    lo, hi = bounding_boxes(problem.components)
+    corners = [lo, hi]
     if problem.source is not None:
-        xs.append(problem.source.real)
-        ys.append(problem.source.imag)
-    if not xs:
-        xs, ys = [0.0], [0.0]
-    cx = (min(xs) + max(xs)) / 2.0
-    cy = (min(ys) + max(ys)) / 2.0
-    half = max(max(xs) - min(xs), max(ys) - min(ys), 2.0) * pad / 2.0
-    return (cx - half, cx + half, cy - half, cy + half)
+        corners.append([[problem.source.real, problem.source.imag]])
+    corners = np.concatenate(corners)
+    if corners.size == 0:
+        corners = np.zeros((1, 2))
+    (x0, y0), (x1, y1) = corners.min(axis=0), corners.max(axis=0)
+    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    half = max(x1 - x0, y1 - y0, 2.0) * pad / 2.0
+    return (float(cx - half), float(cx + half), float(cy - half), float(cy + half))
 
 
 def _in_window(window, z):
@@ -115,7 +107,7 @@ def _near_component(problem, z, delta: float):
         zf = z[free]
         hit = boundary_distance(comp, zf) < delta
         if comp.kind == SLIT:
-            hit |= on_slit(comp.center, comp.halfspan, zf)
+            hit |= in_hole(comp, zf)
             rest = ~hit
             w = joukowski_inverse(comp.center, comp.halfspan, zf[rest])
             hit[rest] = np.log(np.abs(w)) < delta / abs(comp.halfspan)
@@ -134,24 +126,9 @@ def _crossed_boundary(problem, a, b):
     """
     crossed = np.full(b.shape, -1)
     for j, comp in enumerate(problem.components):
-        if comp.kind == SLIT:
-            hit = segments_cross(a, b, *comp.endpoints)
-        elif comp.role == OUTER:
-            hit = np.abs(b - comp.center) >= comp.radius
-        else:
-            hit = contains(comp, b)
+        hit = segments_cross(a, b, *comp.endpoints) if comp.kind == SLIT else in_hole(comp, b)
         crossed[(crossed < 0) & hit] = j
     return crossed
-
-
-def _outside_domain(problem, z):
-    out = np.zeros(z.shape, dtype=bool)
-    for comp in problem.components:
-        if comp.role == OUTER:
-            out |= np.abs(z - comp.center) >= comp.radius
-        else:
-            out |= contains(comp, z)
-    return out
 
 
 # Per-line outcome of one Runge-Kutta stage.
@@ -211,7 +188,8 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     window = opts.window or default_window(problem)
     tol, h_min = opts.step_tol, opts.h_min
     z = np.array(seeds, dtype=complex)
-    if np.any(_outside_domain(problem, z) | ~_in_window(window, z) | singular_mask(exp, z)):
+    outside = (first_hole(problem.components, z) >= 0) | ~_in_window(window, z)
+    if np.any(outside | singular_mask(exp, z)):
         raise ValueError("streamline seed lies outside the domain")
     try:
         u, fp = _evaluate(exp, z, True, True)
@@ -330,7 +308,7 @@ def streamline_fan(solution: Solution, nseeds: int, eps: float, opts: TraceOptio
     if eps <= 0:
         raise ValueError("eps must be positive")
     for j, comp in enumerate(problem.components):
-        if comp.role != OUTER and boundary_distance(comp, problem.source) <= eps:
+        if boundary_distance(comp, problem.source) <= eps:
             raise ValueError(f"eps-circle around the source reaches components[{j}]")
     angles = [2.0 * math.pi * k / nseeds for k in range(nseeds)]
     seeds = [problem.source + eps * complex(math.cos(a), math.sin(a)) for a in angles]
@@ -362,24 +340,11 @@ _MS_SADDLE = {
 }
 
 
-def _domain_mask(problem, X, Y, slit_clear: float = 1e-6):
-    """True where the grid point belongs to the computational domain."""
-    Z = X + 1j * Y
-    ok = np.ones(Z.shape, dtype=bool)
+def _domain_mask(problem, Z):
+    """True where the grid point Z lies in the domain, off the source."""
+    ok = first_hole(problem.components, Z) < 0
     if problem.source is not None:
         ok &= Z != problem.source
-    for comp in problem.components:
-        if comp.kind == DISK:
-            r = np.abs(Z - comp.center)
-            if comp.role == OUTER:
-                ok &= r < comp.radius * (1.0 - 1e-12)
-            else:
-                ok &= r > comp.radius * (1.0 + 1e-12)
-        else:
-            a, b = comp.endpoints
-            ab = b - a
-            t = np.clip(((Z - a) * np.conj(ab)).real / abs(ab) ** 2, 0.0, 1.0)
-            ok &= np.abs(a + t * ab - Z) > slit_clear
     return ok
 
 
@@ -415,11 +380,11 @@ def extract_contours(solution: Solution, levels, window, grid_n: int):
     xs = np.linspace(x0, x1, grid_n)
     ys = np.linspace(y0, y1, grid_n)
     X, Y = np.meshgrid(xs, ys)
-    mask = _domain_mask(solution.problem, X, Y)
+    Z = X + 1j * Y
+    mask = _domain_mask(solution.problem, Z)
     U = np.full(X.shape, np.nan)
-    Z = (X + 1j * Y)[mask]
-    if Z.size:
-        U[mask] = eval_expansion(solution.expansion, Z)
+    if mask.any():
+        U[mask] = eval_expansion(solution.expansion, Z[mask])
     cell_bad = _slit_cell_mask(solution.problem, window, grid_n)
 
     out = []

@@ -1,9 +1,15 @@
-"""Boundary components (disks and slits), the slit map pair, and boundary sampling.
+"""Boundary components (disks and slits), the slit map pair, boundary sampling,
+and domain membership.
 
 A slit with center c and halfspan r is the segment c + r*[-1, 1] in the complex
 plane.  The exterior of the unit circle in the w-plane maps onto the exterior of
 the slit through z = c + r*(w + 1/w)/2; the inverse branch is chosen so that
 |w| > 1 off the slit.
+
+The domain is open.  Each component's hole is the closed set it removes from
+the plane: an inner disk's closed disk, a slit's closed segment, or the outer
+disk's circle and everything outside it.  in_hole and first_hole decide
+membership, exactly and without a tolerance; every other module asks them.
 """
 
 from __future__ import annotations
@@ -204,16 +210,63 @@ def boundary_distance(component: BoundaryComponent, z) -> float:
     return segment_distance(a, b, z)
 
 
-def contains(component: BoundaryComponent, z, tol: float = 0.0):
-    """True where z lies strictly inside a disk (slits have empty interior).
+def in_hole(component: BoundaryComponent, z):
+    """True where z is in the component's hole, so not in the domain.
 
+    A slit's hole is decided by on_slit, the test joukowski_inverse raises on.
     A scalar z gives a bool, an array a boolean array.
     """
-    if component.kind == DISK:
-        inside = np.abs(np.asarray(z, dtype=complex) - component.center) < component.radius - tol
+    za = np.asarray(z, dtype=complex)
+    if component.kind == SLIT:
+        hole = on_slit(component.center, component.halfspan, za)
+    elif component.role == OUTER:
+        hole = np.abs(za - component.center) >= component.radius
     else:
-        inside = np.zeros(np.shape(z), dtype=bool)
-    return bool(inside) if np.ndim(z) == 0 else inside
+        hole = np.abs(za - component.center) <= component.radius
+    return bool(hole) if za.ndim == 0 else hole
+
+
+def first_hole(components, z, skip=None):
+    """Index of the first component whose hole holds each z, else -1.
+
+    ``skip`` names per point a component to leave out: boundary samples skip
+    their own, which rounding can put inside it.  Above four components the
+    points are sorted by x, and each in_hole test sees only the band whose x
+    is in the hole's box, widened far beyond rounding.  A scalar z gives an int.
+    """
+    za = np.asarray(z, dtype=complex)
+    flat, skip = za.ravel(), skip if skip is None else np.ravel(skip)
+    start, stop, order = [0] * len(components), [flat.size] * len(components), np.arange(flat.size)
+    if len(components) > 4:  # with fewer, the sort costs more than it saves
+        lo, hi = bounding_boxes(components)
+        pad = 64 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi)).max(axis=1)
+        pad[[c.role == OUTER for c in components]] = np.inf  # the outer hole is unbounded
+        order = np.argsort(flat.real)
+        flat, skip = flat[order], skip if skip is None else skip[order]
+        start = np.searchsorted(flat.real, lo[:, 0] - pad)
+        stop = np.searchsorted(flat.real, hi[:, 0] + pad, "right")
+    first = np.full(flat.shape, -1)
+    # Later components go first, so each point keeps the first hole's index.
+    for j in reversed(range(len(components))):
+        band = slice(start[j], stop[j])
+        hit = in_hole(components[j], flat[band])
+        if skip is not None:
+            hit &= skip[band] != j
+        first[order[band][hit]] = j
+    return int(first[0]) if za.ndim == 0 else first.reshape(za.shape)
+
+
+def bounding_boxes(components):
+    """(lo, hi): rows of the (x, y) corners of each component's bounding box."""
+    centers = np.array([c.center for c in components], dtype=complex)
+    reach = np.array(
+        [complex(c.radius, c.radius) if c.kind == DISK else c.extent for c in components],
+        dtype=complex,
+    )
+    # (x, y) rows of the two corners (disks) or the two endpoints (slits).
+    p = (centers - reach).view(float).reshape(-1, 2)
+    q = (centers + reach).view(float).reshape(-1, 2)
+    return np.minimum(p, q), np.maximum(p, q)
 
 
 def components_overlap(a: BoundaryComponent, b: BoundaryComponent) -> bool:
@@ -235,15 +288,7 @@ def first_overlap(components) -> tuple[int, int] | None:
     components at once; only pairs whose boxes meet go through
     components_overlap, which decides.
     """
-    centers = np.array([c.center for c in components], dtype=complex)
-    reach = np.array(
-        [complex(c.radius, c.radius) if c.kind == DISK else c.extent for c in components],
-        dtype=complex,
-    )
-    # (x, y) rows of the two corners (disks) or the two endpoints (slits).
-    p = (centers - reach).view(float).reshape(-1, 2)
-    q = (centers + reach).view(float).reshape(-1, 2)
-    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    lo, hi = bounding_boxes(components)
     for i in range(len(components) - 1):
         meet = ((lo[i + 1 :] <= hi[i]) & (lo[i] <= hi[i + 1 :])).all(axis=1)
         for j in i + 1 + np.flatnonzero(meet):

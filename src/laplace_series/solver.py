@@ -42,15 +42,14 @@ from .basis import (
 )
 from .geometry import (
     DISK,
-    INNER,
     OUTER,
     SLIT,
     BoundaryComponent,
     GeometryError,
     boundary_nodes,
+    first_hole,
     first_overlap,
     inside_disk,
-    segment_distance,
 )
 
 EXTERIOR = "exterior"
@@ -110,16 +109,8 @@ class Problem:
                     raise GeometryError(
                         f"components[{j}] does not lie strictly inside the outer disk"
                     )
-        if self.source is not None:
-            for j in inner:
-                c = comps[j]
-                if c.kind == DISK:
-                    if abs(self.source - c.center) <= c.radius:
-                        raise GeometryError(f"components[{j}] contains the source point")
-                elif segment_distance(*c.endpoints, self.source) == 0.0:
-                    raise GeometryError(f"components[{j}] passes through the source point")
-            if outers and abs(self.source - comps[outers[0]].center) >= comps[outers[0]].radius:
-                raise GeometryError("the source lies outside the outer disk")
+        if self.source is not None and (j := first_hole(comps, self.source)) >= 0:
+            raise GeometryError(f"the source point lies in the hole of components[{j}]")
 
     @property
     def source_strength(self) -> float:
@@ -205,10 +196,14 @@ def _boundary_rows(problem: Problem, spec: ExpansionSpec, npts):
                 f"components[{j}] is undersampled: npts={n} for degree "
                 f"{effective_degree(comps, spec, j)}"
             )
-        z, w = boundary_nodes(comp, n)
-        _check_samples_clear(problem, j, z)
-        nodes.append((z, w))
+        nodes.append(boundary_nodes(comp, n))
     z, w, owner, b = _stack_nodes(problem, nodes)
+    hole = first_hole(comps, z, skip=owner)
+    if (bad := np.flatnonzero(hole >= 0)).size:
+        i = bad[0]
+        raise GeometryError(
+            f"samples of components[{owner[i]}] fall in the hole of components[{hole[i]}]"
+        )
     A = design_matrix(z, comps, spec, preimages=w, owner=owner)
     if problem.source_strength != 0.0:
         b -= problem.source_strength * np.log(np.abs(z - problem.source))
@@ -222,22 +217,6 @@ def _stack_nodes(problem: Problem, nodes):
     owner = np.repeat(np.arange(len(nodes)), [zw[0].shape[0] for zw in nodes])
     g = np.concatenate([problem.data_values(j, zw[0]) for j, zw in enumerate(nodes)])
     return z, w, owner, g
-
-
-def _check_samples_clear(problem: Problem, j: int, z: np.ndarray) -> None:
-    for k, other in enumerate(problem.components):
-        if k == j:
-            continue
-        if other.kind == DISK and other.role == INNER:
-            if np.any(np.abs(z - other.center) < other.radius * (1.0 - 1e-12)):
-                raise GeometryError(
-                    f"samples of components[{j}] fall inside components[{k}]"
-                )
-        elif other.role == OUTER:
-            if np.any(np.abs(z - other.center) > other.radius * (1.0 + 1e-12)):
-                raise GeometryError(
-                    f"samples of components[{j}] fall outside the outer components[{k}]"
-                )
 
 
 def assemble_system(problem: Problem, spec: ExpansionSpec, npts: Sequence[int]):

@@ -25,6 +25,7 @@ from laplace_series import (
     trace_streamline,
 )
 from laplace_series import basis, field
+from laplace_series.cli import _default_eps
 from laplace_series.field import (
     _OK,
     _UNDEFINED,
@@ -60,9 +61,34 @@ def test_pure_source_ray(pure_source):
     assert np.max(perp) <= 1e-6
 
 
-def test_streamline_rejects_bad_seed(disk1):
+def test_streamline_rejects_bad_seed(disk1, slit1):
     with pytest.raises(ValueError):
         trace_streamline(disk1, 3 + 1j)  # inside the disk
+    # The domain is open: a seed inside an inner disk, on its circle, on a
+    # slit or at the source is rejected.
+    for sol, seed in ((disk1, 3.5 + 1j), (disk1, 4 + 1j), (disk1, 3 + 2j), (disk1, 0j),
+                      (slit1, 3 + 1j), (slit1, 4 + 0.5j), (slit1, 0j)):
+        with pytest.raises(ValueError, match="outside the domain"):
+            trace_streamline(sol, seed)
+    prob = Problem((disk(0, 2.0, role="outer"), disk(0.5, 0.2)), "bounded", None, (1.0, 0.0))
+    bounded = solve_problem(prob, default_spec(prob, degree=8))
+    for seed in (2.0, -2j, 3.0, 2 + 2j):  # on and outside the outer circle
+        with pytest.raises(ValueError, match="outside the domain"):
+            trace_streamline(bounded, seed)
+    trace_streamline(bounded, 1.0)
+
+
+def test_fan_eps_counts_the_outer_disk():
+    # The source is 0.05 from the outer circle and 1.35 from the inner disk.
+    prob = Problem((disk(0, 1.0, role="outer"), disk(-0.5, 0.1)), "bounded", 0.95, (0.0, 0.0))
+    sol = solve_problem(prob)
+    eps = _default_eps(prob)
+    assert eps == pytest.approx(0.25 * 0.05)
+    fan = streamline_fan(sol, 16, eps, TraceOptions(window=default_window(prob)))
+    assert len(fan) == 16
+    assert {line.termination for line in fan} == {HIT_BOUNDARY}
+    with pytest.raises(ValueError, match=r"reaches components\[0\]"):
+        streamline_fan(sol, 16, 0.06)
 
 
 def test_streamline_hits_disk(disk1):
@@ -343,7 +369,8 @@ def test_grid_evaluation_holds_no_matrix():
     sol = solve_problem(prob, default_spec(prob, degree=12))
     x0, x1, y0, y1 = default_window(prob)
     X, Y = np.meshgrid(np.linspace(x0, x1, 240), np.linspace(y0, y1, 240))
-    z = (X + 1j * Y)[_domain_mask(prob, X, Y)]
+    Z = X + 1j * Y
+    z = Z[_domain_mask(prob, Z)]
     matrix_bytes = z.size * basis.column_count(prob.components, sol.expansion.spec) * 8
     tracemalloc.start()
     try:

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laplace_series.geometry import (
+    SLIT,
     BoundaryComponent,
     DomainError,
     boundary_nodes,
     components_overlap,
     disk,
+    first_hole,
     first_overlap,
+    in_hole,
     joukowski_forward,
     joukowski_inverse,
     segments_cross,
@@ -181,3 +184,74 @@ def test_first_overlap_matches_pairwise_loop(step):
         pairs = [(i, j) for i in range(len(comps)) for j in range(i + 1, len(comps))]
         expected = next((p for p in pairs if components_overlap(*(comps[k] for k in p))), None)
         assert first_overlap(comps) == expected
+
+
+def test_boundary_points_are_in_the_hole():
+    # Each component's hole is closed: its boundary belongs to it.
+    cases = [
+        (disk(2 + 1j, 0.5), [2.5 + 1j, 2 + 1.5j, 2 + 1j, 2.2 + 1j], [2.5000001 + 1j, 0j]),
+        (disk(0, 2.0, role="outer"), [2.0, -2j, 3.0, 5 + 5j], [0j, 1.999999 + 0j]),
+        (slit(1, 2j), [1 + 2j, 1 - 2j, 1 + 0j, 1 + 1.5j], [1.000001 + 0j, 1 + 2.000001j]),
+    ]
+    for comp, inside, outside in cases:
+        z = np.array(inside + outside)
+        want = np.arange(z.size) < len(inside)
+        assert np.array_equal(in_hole(comp, z), want)
+        assert np.array_equal(in_hole(comp, z.reshape(2, -1)), want.reshape(2, -1))
+        assert [in_hole(comp, p) for p in z.tolist()] == want.tolist()
+        assert all(type(in_hole(comp, p)) is bool for p in z.tolist())
+        assert np.array_equal(first_hole([comp], z), np.where(want, 0, -1))
+        assert [first_hole([comp], p) for p in z.tolist()] == np.where(want, 0, -1).tolist()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_first_hole_matches_plain_loop(scale):
+    # The bounding-box screen (taken above four components) must not change
+    # any answer, also for points within rounding of a boundary, far from
+    # the origin.
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        comps = [disk(0, 6.0 * scale, role="outer")] if rng.random() < 0.3 else []
+        for _ in range(rng.integers(1, 12)):
+            center = scale * complex(*rng.uniform(-4, 4, 2))
+            ext = rng.uniform(0.05, 1.0)
+            if rng.random() < 0.5:
+                comps.append(disk(center, ext))
+            else:
+                comps.append(slit(center, ext * complex(*rng.uniform(-1, 1, 2))))
+        nodes = [boundary_nodes(c, 16)[0] for c in comps]
+        owner = np.repeat(np.arange(len(comps)), 16)
+        z = np.concatenate(nodes + [scale * (rng.uniform(-6, 6, 50) + 1j * rng.uniform(-6, 6, 50))])
+        for c in comps:
+            if c.kind == SLIT:
+                z = np.concatenate([z, c.endpoints, [c.center]])
+        z = np.concatenate([z, np.nextafter(z.real, np.inf) + 1j * z.imag,
+                            z.real + 1j * np.nextafter(z.imag, -np.inf)])
+        holes = np.array([in_hole(c, z) for c in comps])
+        want = np.where(holes.any(axis=0), holes.argmax(axis=0), -1)
+        assert np.array_equal(first_hole(comps, z), want)
+        skip = np.full(z.size, -1)
+        skip[: owner.size] = owner
+        holes[skip[None, :] == np.arange(len(comps))[:, None]] = False
+        want = np.where(holes.any(axis=0), holes.argmax(axis=0), -1)
+        assert np.array_equal(first_hole(comps, z, skip=skip), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cr=finite,
+    ci=finite,
+    ext=st.floats(min_value=1e-6, max_value=4.0),
+    tilt=st.floats(min_value=-3.2, max_value=3.2),
+    t=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(min_value=-1.1, max_value=1.1)),
+    off=st.one_of(st.just(0.0), st.floats(min_value=-1e-3, max_value=1e-3)),
+)
+def test_in_hole_exactly_where_inverse_map_raises(cr, ci, ext, tilt, t, off):
+    comp = slit(complex(cr, ci), ext * complex(math.cos(tilt), math.sin(tilt)))
+    z = comp.center + comp.halfspan * complex(t, off)
+    try:
+        joukowski_inverse(comp.center, comp.halfspan, z)
+        raised = False
+    except DomainError:
+        raised = True
+    assert in_hole(comp, z) == raised

@@ -32,6 +32,7 @@ from laplace_series.cantor import (
     cantor_problem,
     cantor_spec,
 )
+from laplace_series.geometry import boundary_nodes, in_hole
 from laplace_series.solver import (
     RANK_TOL,
     FitReport,
@@ -86,6 +87,39 @@ def test_problem_validation():
         )
     with pytest.raises(GeometryError, match="overlap"):
         green_problem([slit(2, 1.0), slit(2.5 + 1j, 1j)], source=0j)
+    # A source on a slit, at an endpoint, or on or outside the outer circle
+    # lies in a hole.
+    for comps, source in (
+        ([slit(2, 1.0)], 2.5),
+        ([slit(3 + 1j, 1 - 0.5j)], 3 + 1j),
+        ([slit(3 + 1j, 1 - 0.5j)], 2 + 1.5j),  # an endpoint
+    ):
+        with pytest.raises(GeometryError, match=r"source.*components\[0\]"):
+            green_problem(comps, source=source)
+    outer = disk(0, 2.0, role="outer")
+    for source in (2.0, -2j, 3.0, 5 + 5j):  # on and outside the outer circle
+        with pytest.raises(GeometryError, match=r"source.*components\[0\]"):
+            Problem((outer, disk(0.5, 0.2)), "bounded", source, (0.0, 0.0))
+    Problem((outer, disk(0.5, 0.2)), "bounded", 1.9, (0.0, 0.0))
+
+
+def test_sample_on_another_slit_names_both_components():
+    # The disk's leftmost samples round onto the slit 1e-12 away.  The sample
+    # check names both components instead of letting the slit's inverse map
+    # fail inside design_matrix.
+    prob = green_problem([slit(1e6, 1e-3j), disk(1e6 + 1e-3 + 1e-12, 1e-3)])
+    with pytest.raises(GeometryError, match=r"samples of components\[1\].*components\[0\]"):
+        solve_problem(prob)
+
+
+def test_samples_are_not_tested_against_their_own_disk():
+    # Rounding at |center| = 1e6 puts some of a disk's own samples inside its
+    # circle; they are tested only against the other disk.
+    prob = green_problem([disk(1e6, 1e-3), disk(1e6 + 2e-3 + 1e-10, 1e-3)])
+    z, _ = boundary_nodes(prob.components[0], default_npts(prob.components, default_spec(prob))[0])
+    assert np.any(in_hole(prob.components[0], z) & (np.abs(z - 1e6) < 1e-3))
+    sol = solve_problem(prob)
+    assert math.isfinite(sol.residual)
 
 
 def test_first_overlapping_pair_is_reported():
