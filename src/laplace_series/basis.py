@@ -100,10 +100,13 @@ def column_labels(components, spec: ExpansionSpec) -> list[str]:
 
 
 def _powers(t: np.ndarray, n: int) -> np.ndarray:
-    """Stack t, t^2, ..., t^n column-wise by cumulative products."""
-    p = np.empty((t.shape[0], n), dtype=complex)
-    p[:] = t[:, None]
-    return np.multiply.accumulate(p, axis=1, out=p)
+    """t, t^2, ..., t^n as a Fortran-ordered table built column by column, so
+    each product runs over every row at once, however small n is."""
+    p = np.empty((t.shape[0], n), dtype=complex, order="F")
+    p[:, :1] = t[:, None]
+    for k in range(1, n):
+        np.multiply(p[:, k - 1], t, out=p[:, k])
+    return p
 
 
 def _local_coordinates(z, components, spec: ExpansionSpec, preimages=None, owner=None):
@@ -142,8 +145,8 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None
     inverse map is two-valued and the stored preimage decides the side; every
     other row of a slit block goes through the map, which raises DomainError
     for a point on that slit.  Rows of any mix of components can be stacked
-    into one call.  The matrix is Fortran-ordered: it is filled column by
-    column, and a least-squares solve can factor it in place.
+    into one call.  The matrix is Fortran-ordered, filled column by column from
+    _powers tables built the same way; a least-squares solve can factor it in place.
     """
     validate_spec(components, spec)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -210,14 +213,12 @@ class Expansion:
         vals += list(self.outer_cos) + list(self.outer_sin)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("expansion coefficients must be finite")
-        # Complex coefficients c_k = a_k - i b_k per block, for the evaluator;
-        # not dataclass fields, so == and from_vector ignore them.
-        object.__setattr__(self, "_inner", tuple(
-            np.array(a, dtype=float) - 1j * np.array(b, dtype=float)
-            for a, b in zip(self.cos_coeffs, self.sin_coeffs)
-        ))
-        object.__setattr__(self, "_outer", np.array(self.outer_cos, dtype=float)
-                           - 1j * np.array(self.outer_sin, dtype=float))
+        # Per block (the inner ones, then the outer) c_k = a_k - i b_k and k c_k,
+        # for the evaluator; not dataclass fields, so == and from_vector ignore them.
+        pairs = [*zip(self.cos_coeffs, self.sin_coeffs), (self.outer_cos, self.outer_sin)]
+        c = [np.array(a, dtype=float) - 1j * np.array(b, dtype=float) for a, b in pairs]
+        object.__setattr__(self, "_c", tuple(c))
+        object.__setattr__(self, "_kc", tuple(np.arange(1, ck.size + 1) * ck for ck in c))
 
     @classmethod
     def from_vector(cls, vec, components, spec, source=None, source_strength=0.0):
@@ -251,7 +252,7 @@ class Expansion:
 
     def coefficient_vector(self) -> np.ndarray:
         """The coefficients in design_matrix column order: C, d_j, then (a_k, b_k) pairs."""
-        c = np.concatenate([*self._inner, self._outer])
+        c = np.concatenate(self._c)
         return np.concatenate([[self.constant, *self.log_coeffs], c.conj().view(float)])
 
 
@@ -276,9 +277,11 @@ def singular_mask(exp: Expansion, z) -> np.ndarray:
 
 
 def _horner(coeffs, t):
-    """sum_i coeffs[i] t^i by Horner's rule (zero for no coefficients)."""
-    acc = np.zeros(t.shape, dtype=complex)
-    for c in coeffs[::-1]:
+    """sum_i coeffs[i] t^i by Horner's rule (0.0 for no coefficients)."""
+    if not coeffs.size:
+        return 0.0
+    acc = np.full(t.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
         acc *= t
         acc += c
     return acc
@@ -305,7 +308,7 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
         if want_fp:
             fp += exp.source_strength / (z - exp.source)
     for slot, j, zeta, offset in _local_coordinates(z, exp.components, exp.spec):
-        comp, c, d = exp.components[j], exp._inner[slot], exp.log_coeffs[slot]
+        comp, d, c, kc = exp.components[j], exp.log_coeffs[slot], exp._c[slot], exp._kc[slot]
         if comp.kind == DISK and np.any(zeta == 0):
             raise DomainError("expansion is singular at a component center")
         t = 1.0 / zeta
@@ -319,16 +322,16 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
                 if np.any(np.abs(denom) < 1e-13):
                     raise DomainError("derivative is singular at a slit endpoint")
                 dlog = 2.0 / (comp.halfspan * denom * zeta)
-            fp += (d - t * _horner(np.arange(1, c.size + 1) * c, t)) * dlog
+            fp += (d - t * _horner(kc, t)) * dlog
     if exp.spec.outer_degree > 0:
         out = exp.components[outer_index(exp.components)]
-        c = exp._outer
+        c, kc = exp._c[-1], exp._kc[-1]
         t = (z - out.center) / out.radius
         if want_u:
             u += (t * _horner(c, t)).real
         if want_fp:
             # d/dz t^k = k t^(k-1) / r_0
-            fp += _horner(np.arange(1, c.size + 1) * c, t) / out.radius
+            fp += _horner(kc, t) / out.radius
     if scalar:
         return (None if u is None else float(u[0]), None if fp is None else complex(fp[0]))
     return u, fp

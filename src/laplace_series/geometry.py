@@ -104,13 +104,6 @@ def joukowski_forward(center: complex, halfspan: complex, w):
     return complex(z) if scalar else z
 
 
-def _branch_sign(zc):
-    """+1 on the open right half-plane and positive imaginary axis, else -1."""
-    re = np.real(zc)
-    im = np.imag(zc)
-    return np.where(re > 0, 1.0, np.where(re < 0, -1.0, np.where(im > 0, 1.0, -1.0)))
-
-
 def _on_unit_slit(zc):
     return (zc.imag == 0.0) & (np.abs(zc.real) <= 1.0)
 
@@ -123,18 +116,19 @@ def on_slit(center: complex, halfspan: complex, z):
 def joukowski_inverse(center: complex, halfspan: complex, z):
     """Invert the slit map, returning the preimage with |w| > 1.
 
-    Raises DomainError for z on the closed slit, where the preimage is
-    two-valued.
+    With zc = (z - center)/halfspan and q = sqrt(zc^2 - 1), the preimages
+    are zc + q and zc - q, and |zc + q|^2 - |zc - q|^2 = 4 Re(conj(zc) q).
+    So w = zc + copysign(1, Re(conj(zc) q)) q is the root outside the unit
+    circle, whichever root the square root returns; the sign of a zero in q
+    cannot change it.  Raises DomainError for z on the closed slit, where the
+    preimage is two-valued.
     """
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
     zc = (np.asarray(z, dtype=complex) - center) / halfspan
     if np.any(_on_unit_slit(zc)):
         raise DomainError("inverse slit map is two-valued on the slit itself")
-    t = zc * zc - 1.0
-    # A -0.0 imaginary part would put points on the branch cut (the imaginary
-    # axis of zc) on the wrong side of the principal square root.
-    t = np.where(t.imag == 0.0, t.real + 0.0j, t)
-    w = zc + _branch_sign(zc) * np.sqrt(t)
+    q = np.sqrt(zc * zc - 1.0)
+    w = zc + np.copysign(1.0, zc.real * q.real + zc.imag * q.imag) * q
     return complex(w) if scalar else w
 
 

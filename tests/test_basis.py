@@ -317,6 +317,39 @@ def _reference_fprime(exp, z):
     return fp
 
 
+def _exact_powers(t, n):
+    """t^k for k = 1..n, each computed exactly in Gaussian integers and
+    rounded once (Python's int / int is correctly rounded)."""
+    out = np.empty((t.size, n), dtype=complex)
+    for i, v in enumerate(t.tolist()):
+        (a, qa), (b, qb) = v.real.as_integer_ratio(), v.imag.as_integer_ratio()
+        q = max(qa, qb)  # both powers of two, so v = (a' + i b') / q exactly
+        a, b = a * (q // qa), b * (q // qb)
+        x, y, d = 1, 0, 1
+        for k in range(n):
+            x, y, d = x * a - y * b, x * b + y * a, d * q
+            out[i, k] = complex(x / d, y / d)
+    return out
+
+
+def test_powers_table():
+    # The reference helper of the evaluator tests, checked on its own: each
+    # column k is t^k within the rounding of k - 1 complex products (each at
+    # most sqrt(5) u relative) plus the reference's own rounding (u).
+    rng = np.random.default_rng(9)
+    t = rng.uniform(0.05, 1.0, 4096) * np.exp(1j * rng.uniform(-np.pi, np.pi, 4096))
+    t[:6] = [0, 1, -1, 1j, -1j, 0.5 - 0.25j]
+    exact = _exact_powers(t, 20)
+    u = np.finfo(float).eps / 2
+    for n in (0, 1, 2, 7, 20):
+        p = _powers(t, n)
+        assert p.shape == (4096, n) and p.dtype == complex and p.flags.f_contiguous
+        k = np.arange(1, n + 1)
+        tol = ((k - 1) * math.sqrt(5) + 1) * u * np.abs(exact[:, :n])
+        assert np.all(np.abs(p - exact[:, :n]) <= tol)
+    assert np.array_equal(_powers(t, 7)[:6, :4], exact[:6, :4])  # exact inputs stay exact
+
+
 def test_horner_matches_design_matrix(evaluator_cases):
     for sol in evaluator_cases:
         exp = sol.expansion

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -91,6 +92,55 @@ def test_branch_consistent_on_axis_points():
         assert abs(below - left) < 1e-6
         assert abs(below - right) < 1e-6
         assert abs(below) > 1
+
+
+def _exterior_root(z):
+    """The larger-modulus root of z +- sqrt(z^2 - 1) for the unit slit, worked
+    in 800-digit decimals, so the two moduli are told apart even where they
+    agree to 600 digits (z within 1e-300 of the slit's middle)."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 800, -9999, 9999
+        x, y = Decimal(z.real), Decimal(z.imag)
+        a, b = x * x - y * y - 1, 2 * x * y
+        m = (a * a + b * b).sqrt()
+        if a >= 0:  # any square root of a + ib will do: both roots are compared
+            qr = ((m + a) / 2).sqrt()
+            qi = b / (2 * qr)
+        else:
+            qi = ((m - a) / 2).sqrt()
+            qr = b / (2 * qi)
+        roots = [(x + qr, y + qi), (x - qr, y - qi)]
+        re, im = max(roots, key=lambda r: r[0] * r[0] + r[1] * r[1])
+        return complex(float(re), float(im))
+
+
+def test_inverse_takes_the_exterior_root():
+    rng = np.random.default_rng(5)
+    ys = [1e-300, 1e-8, 0.3, 1.0, 7.5, 1e8, 1e150]
+    pts = [complex(sr, sy * y) for y in ys for sr in (0.0, -0.0) for sy in (1, -1)]
+    xs = [1 + 1e-15, 1.5, 2.0, 1e8, 1e150]
+    pts += [complex(sx * x, si) for x in xs for sx in (1, -1) for si in (0.0, -0.0)]
+    # 1e-300 off the open slit, on both sides; near its middle the imaginary
+    # part of z^2 underflows, so only the sign of Im z tells the sides apart.
+    xs = [0.0, -0.0, 1e-300, -3e-300, 1e-8, 0.5, -0.999]
+    pts += [complex(x, sy * 1e-300) for x in xs for sy in (1, -1)]
+    pts += [complex(x, sy * 5e-324) for x in (0.2, -0.45) for sy in (1, -1)]
+    for r in (1e-3, 1.0, 10.0, 1e50, 1e100, 1e150):
+        pts += list(r * np.exp(1j * rng.uniform(-np.pi, np.pi, 12)))
+    z = np.array(pts)
+    ref = np.array([_exterior_root(p) for p in pts])
+    w = joukowski_inverse(0, 1, z)
+    tol = 4 * np.finfo(float).eps * np.abs(ref)
+    assert np.all(np.abs(w - ref) <= tol)
+    scalar = np.array([joukowski_inverse(0, 1, p) for p in pts])
+    assert np.all(np.abs(scalar - ref) <= tol)
+    # The endpoints are on the closed slit, where the preimage is two-valued.
+    ends = [(0, 1, complex(sx, si)) for sx in (1.0, -1.0) for si in (0.0, -0.0)]
+    for c, r, z in ends + [(2, 3, 5.0), (2, 3, -1.0), (1j, 2j, 3j), (1j, 2j, -1j)]:
+        with pytest.raises(DomainError):
+            joukowski_inverse(c, r, z)
+        with pytest.raises(DomainError):
+            joukowski_inverse(c, r, np.array([c + 3 * r, z]))
 
 
 def test_disk_sampling_examples():
