@@ -27,6 +27,8 @@ from .solver import (
 )
 
 MAX_LEVEL = 12
+MAX_GENERAL_LEVEL = 10
+MAX_SYMMETRIC_LEVEL = 11
 
 
 @dataclass(frozen=True)
@@ -79,24 +81,24 @@ def cantor_solution(m: int) -> Solution:
 def cantor_measures(m: int, use_symmetry: bool = False) -> list[float]:
     """Harmonic measures of the right-half-plane slits, ordered inside out.
 
-    With ``use_symmetry`` the solve keeps only the general system's rows on the
-    upper side of the right-half slits, and folds each mirror-image pair of
-    slits into shared columns: their log columns are added, their cosine
-    columns are added with sign (-1)^k because w(-z) = -w(z), and the sine
-    columns are dropped (u is even in y).  The mirror pairs' log coefficients
-    then sum to -1/2 exactly, and the result agrees with the general path to
-    solver accuracy.
+    The general path solves over all 2^m slits and runs up to level
+    MAX_GENERAL_LEVEL; its matrix at the next level would need about 5.4 GB.
+    With ``use_symmetry`` (up to MAX_SYMMETRIC_LEVEL) the solve uses the mirror
+    symmetry u(z) = u(-z) = u(conj z): the mirror of right-half slit j is the
+    slit at -c_j, whose basis at z is slit j's basis at -z.  So each folded
+    column is phi_j(z) + phi_j(-z) over the right-half slits alone, collocated
+    on their upper sides.  The sine columns drop because u is even in y, and
+    the folded log coefficients sum to -1/2 exactly.  The result agrees with
+    the general path to solver accuracy.
     """
+    limit = MAX_SYMMETRIC_LEVEL if use_symmetry else MAX_GENERAL_LEVEL
+    if m > limit:
+        hint = "" if use_symmetry else "; use_symmetry=True reaches further"
+        raise ValueError(f"level {m} does not fit in memory on this path (at most {limit}){hint}")
     if use_symmetry:
         return _symmetric_measures(m)
-    sol = cantor_solution(m)
-    report = harmonic_measures(sol)
-    comps = sol.problem.components
-    right = sorted(
-        (j for j, c in enumerate(comps) if c.center.real > 0),
-        key=lambda j: comps[j].center.real,
-    )
-    return [report.measures[j] for j in right]
+    measures = harmonic_measures(cantor_solution(m)).measures
+    return list(measures[len(measures) // 2 :])  # the slits run left to right
 
 
 def cantor_inner_half_sum(m: int) -> float:
@@ -108,34 +110,20 @@ def cantor_inner_half_sum(m: int) -> float:
 
 
 def _symmetric_measures(m: int) -> list[float]:
-    slits = cantor_components(m).slits
-    spec = cantor_spec(m)
-    n = len(slits)
-    right = np.arange(n // 2, n)
-    mirror = n - 1 - right
+    right = cantor_components(m).slits[2 ** (m - 1) :]
     nr = len(right)
-    # Cosine columns of the right and mirror slits, slit after slit in
-    # design_matrix order; w(-z) = -w(z) maps a mirror slit's zeta^-k onto
-    # (-1)^k times the right slit's.
-    deg = cantor_degree(m)
-    ks = np.arange(deg)
-    cos_right = (1 + n + 2 * deg * right[:, None] + 2 * ks).ravel()
-    cos_mirror = (1 + n + 2 * deg * mirror[:, None] + 2 * ks).ravel()
-    sign = np.tile((-1.0) ** (ks + 1), nr)
-
-    npts = default_npts(slits, spec)
-    halves = [npts[j] // 2 for j in right]  # the first half of the nodes covers the upper side
-    nodes = [boundary_nodes(slits[j], npts[j]) for j in right]
+    spec = cantor_spec(m, nr)
+    npts = default_npts(right, spec)
+    halves = [n // 2 for n in npts]  # the first half of the nodes covers the upper side
+    nodes = [boundary_nodes(s, n) for s, n in zip(right, npts)]
     z = np.concatenate([zj[:h] for (zj, _), h in zip(nodes, halves)])
     w = np.concatenate([wj[:h] for (_, wj), h in zip(nodes, halves)])
-    owner = np.repeat(right, halves)
-    A = design_matrix(z, slits, spec, preimages=w, owner=owner)
-    # The fold is filled in Fortran order, so the solve factors it in place.
-    folded = np.empty((z.shape[0], 1 + nr + nr * deg), order="F")
-    folded[:, 0] = A[:, 0]
-    np.add(A[:, 1 + right], A[:, 1 + mirror], out=folded[:, 1 : 1 + nr])
-    np.multiply(sign, A[:, cos_mirror], out=folded[:, 1 + nr :])
-    folded[:, 1 + nr :] += A[:, cos_right]
-    del A  # the fold holds what the solve needs
+    A = design_matrix(z, right, spec, preimages=w, owner=np.repeat(np.arange(nr), halves))
+    A += design_matrix(-z, right, spec)  # -z lies on the mirror slits
+    # The constant (back to 1), the log and the cosine columns; Fortran-ordered,
+    # so the solve factors the fold in place.
+    folded = np.asfortranarray(A[:, np.r_[: 1 + nr, 1 + nr : A.shape[1] : 2]])
+    folded[:, 0] = 1.0
+    del A
     x = solve_with_log_sum(folded, -np.log(np.abs(z)), nr, -0.5)
     return [float(-d) for d in x[1 : 1 + nr]]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import ExpansionSpec, eval_expansion
-from .cantor import cantor_degree, cantor_measures
+from .cantor import MAX_GENERAL_LEVEL, MAX_SYMMETRIC_LEVEL, cantor_degree, cantor_measures
 from .field import (
     EQUIPOTENTIAL,
     STREAMLINE,
@@ -591,7 +591,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
     pc = sub.add_parser("cantor", help="measure study of a middle-thirds level")
-    pc.add_argument("-m", type=int, required=True, help="construction level (1..12)")
+    pc.add_argument("-m", type=int, required=True, help=(
+        f"construction level (1..{MAX_GENERAL_LEVEL}; 1..{MAX_SYMMETRIC_LEVEL} with --symmetry)"))
     pc.add_argument("--symmetry", action="store_true", help="use the symmetry-reduced solve")
     pc.add_argument("-o", "--outdir", default=".", help="directory for output files")
 

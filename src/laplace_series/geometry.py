@@ -113,6 +113,11 @@ def on_slit(center: complex, halfspan: complex, z):
     return _on_unit_slit((np.asarray(z, dtype=complex) - center) / halfspan)
 
 
+def _exterior_root(zc):
+    q = np.sqrt(zc * zc - 1.0)
+    return zc + np.copysign(1.0, zc.real * q.real + zc.imag * q.imag) * q
+
+
 def joukowski_inverse(center: complex, halfspan: complex, z):
     """Invert the slit map, returning the preimage with |w| > 1.
 
@@ -120,15 +125,20 @@ def joukowski_inverse(center: complex, halfspan: complex, z):
     are zc + q and zc - q, and |zc + q|^2 - |zc - q|^2 = 4 Re(conj(zc) q).
     So w = zc + copysign(1, Re(conj(zc) q)) q is the root outside the unit
     circle, whichever root the square root returns; the sign of a zero in q
-    cannot change it.  Raises DomainError for z on the closed slit, where the
-    preimage is two-valued.
+    cannot change it.  Where zc^2 overflows (|zc| above about 1.3e154), w is
+    2 zc to within 1/(4|zc|^2) < 1e-308 relative.  Raises DomainError for z
+    on the closed slit, where the preimage is two-valued.
     """
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
     zc = (np.asarray(z, dtype=complex) - center) / halfspan
     if np.any(_on_unit_slit(zc)):
         raise DomainError("inverse slit map is two-valued on the slit itself")
-    q = np.sqrt(zc * zc - 1.0)
-    w = zc + np.copysign(1.0, zc.real * q.real + zc.imag * q.imag) * q
+    try:
+        with np.errstate(over="raise"):
+            w = _exterior_root(zc)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.where(np.isfinite(zc * zc), _exterior_root(zc), 2.0 * zc)
     return complex(w) if scalar else w
 
 

@@ -252,10 +252,14 @@ def test_scaling_invariance():
 
 def test_far_field_approaches_constant(disk1, three_disks, slit1, two_slits):
     # Slit log columns log(|w|*|halfspan|/2) behave like log|z - c| far away,
-    # so C is the limit at infinity for slits too.
+    # so C is the limit at infinity for slits too, also beyond |z| of about
+    # 1.3e154, where z^2 overflows.
+    huge = np.array([1e160, -1e200j, 1e300 * np.exp(2j)])
     for sol in (disk1, three_disks, slit1, two_slits):
         far = eval_expansion(sol.expansion, 1e6 + 0.4e6j)
         assert abs(far - sol.expansion.constant) < 1e-5
+        far = eval_expansion(sol.expansion, huge)
+        assert np.all(np.abs(far - sol.expansion.constant) < 1e-10)
 
 
 def test_expansion_rejects_nonfinite_coefficients():

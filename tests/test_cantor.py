@@ -1,12 +1,19 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from laplace_series import basis, cantor_components, cantor_inner_half_sum, cantor_measures, solver
-from laplace_series.cantor import cantor_degree, cantor_problem, cantor_solution, cantor_spec
+from laplace_series.cantor import (
+    _symmetric_measures,
+    cantor_degree,
+    cantor_problem,
+    cantor_solution,
+    cantor_spec,
+)
 from laplace_series.solver import boundary_residual, harmonic_measures, solve_problem
 
 PAPER_TABLES = {
@@ -72,11 +79,41 @@ def test_measures_match_tables(m):
         assert abs(got - want) < 1e-6
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_symmetric_path_agrees_with_general(m):
     general = cantor_measures(m)
     fast = cantor_measures(m, use_symmetry=True)
     assert max(abs(a - b) for a, b in zip(general, fast)) < 1e-12
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_symmetric_fold_never_builds_the_full_width_matrix():
+    # Counts bytes, times nothing.  At m = 8 the fold is 2048 rows (16 upper
+    # nodes on each of 128 right-half slits) by 1 + 128 + 128*2 columns.  The
+    # right-half basis at z and at -z, added in place, stays below 4x that;
+    # a matrix over all 256 slits, folded afterwards, would not.
+    folded_bytes = 2048 * 385 * 8
+    assert _traced_peak(_symmetric_measures, 8) < 4 * folded_bytes
+
+
+def test_levels_beyond_memory_fail_up_front():
+    # The general matrix at m = 11 would be 65536 x 10241 (5.4 GB), the fold at
+    # m = 12 about as large: both are refused before anything is allocated.
+    def refuse(m, use_symmetry, match):
+        with pytest.raises(ValueError, match=match):
+            cantor_measures(m, use_symmetry=use_symmetry)
+
+    assert _traced_peak(refuse, 11, False, "use_symmetry=True") < 2**20
+    assert _traced_peak(refuse, 12, True, "at most 11") < 2**20
+    assert len(cantor_components(12).slits) == 4096
 
 
 def test_mirror_symmetry_of_general_solve():

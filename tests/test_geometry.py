@@ -116,16 +116,17 @@ def _exterior_root(z):
 
 def test_inverse_takes_the_exterior_root():
     rng = np.random.default_rng(5)
-    ys = [1e-300, 1e-8, 0.3, 1.0, 7.5, 1e8, 1e150]
+    ys = [1e-300, 1e-8, 0.3, 1.0, 7.5, 1e8, 1e150, 1e160, 1e200, 1e300]
     pts = [complex(sr, sy * y) for y in ys for sr in (0.0, -0.0) for sy in (1, -1)]
-    xs = [1 + 1e-15, 1.5, 2.0, 1e8, 1e150]
+    xs = [1 + 1e-15, 1.5, 2.0, 1e8, 1e150, 1e160, 1e200, 1e300]
     pts += [complex(sx * x, si) for x in xs for sx in (1, -1) for si in (0.0, -0.0)]
     # 1e-300 off the open slit, on both sides; near its middle the imaginary
     # part of z^2 underflows, so only the sign of Im z tells the sides apart.
     xs = [0.0, -0.0, 1e-300, -3e-300, 1e-8, 0.5, -0.999]
     pts += [complex(x, sy * 1e-300) for x in xs for sy in (1, -1)]
     pts += [complex(x, sy * 5e-324) for x in (0.2, -0.45) for sy in (1, -1)]
-    for r in (1e-3, 1.0, 10.0, 1e50, 1e100, 1e150):
+    # Beyond about 1.3e154, z^2 overflows; the map must stay finite there.
+    for r in (1e-3, 1.0, 10.0, 1e50, 1e100, 1e150, 1e160, 1e200, 1e300):
         pts += list(r * np.exp(1j * rng.uniform(-np.pi, np.pi, 12)))
     z = np.array(pts)
     ref = np.array([_exterior_root(p) for p in pts])
