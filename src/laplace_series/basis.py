@@ -24,7 +24,7 @@ summing each block's series by Horner's rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,20 +82,35 @@ def outer_index(components) -> int | None:
     return None
 
 
-def column_count(components, spec: ExpansionSpec) -> int:
+def column_layout(components, spec: ExpansionSpec) -> tuple[slice, ...]:
+    """Where each block's (a_k, b_k) pairs sit in the columns, k = 1, 2, ...
+
+    Column 0 is C and column 1 + slot is d of the slot-th inner component;
+    the pairs of the inner blocks follow in that order and the outer block's
+    (A_k, B_k) pairs come last (an empty slice without one), so the last
+    slice ends at the column count.
+    """
     inner = inner_indices(components)
-    return 1 + len(inner) + sum(2 * spec.degrees[j] for j in inner) + 2 * spec.outer_degree
+    col = 1 + len(inner)
+    blocks = []
+    for n in [spec.degrees[j] for j in inner] + [spec.outer_degree]:
+        blocks.append(slice(col, col + 2 * n))
+        col += 2 * n
+    return tuple(blocks)
+
+
+def column_count(components, spec: ExpansionSpec) -> int:
+    return column_layout(components, spec)[-1].stop
 
 
 def column_labels(components, spec: ExpansionSpec) -> list[str]:
     """Human-readable names for the columns, in matrix order."""
     inner = inner_indices(components)
+    names = [("a", "b", f"{j},") for j in inner] + [("A", "B", "")]
     labels = ["C"] + [f"d[{j}]" for j in inner]
-    for j in inner:
-        for k in range(1, spec.degrees[j] + 1):
-            labels += [f"a[{j},{k}]", f"b[{j},{k}]"]
-    for k in range(1, spec.outer_degree + 1):
-        labels += [f"A[{k}]", f"B[{k}]"]
+    for (a, b, j), blk in zip(names, column_layout(components, spec)):
+        for k in range(1, (blk.stop - blk.start) // 2 + 1):
+            labels += [f"{a}[{j}{k}]", f"{b}[{j}{k}]"]
     return labels
 
 
@@ -157,103 +172,78 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None
         preimages = np.asarray(preimages, dtype=complex)
         if owner.shape != z.shape or preimages.shape != z.shape:
             raise ValueError("owner and preimages must give one entry per point")
-    ncols = column_count(components, spec)
-    A = np.empty((z.shape[0], ncols), dtype=float, order="F")
+    blocks = column_layout(components, spec)
+    A = np.empty((z.shape[0], blocks[-1].stop), dtype=float, order="F")
     A[:, 0] = 1.0
-
-    col = 1 + len(inner_indices(components))
     for slot, j, zeta, offset in _local_coordinates(z, components, spec, preimages, owner):
-        n = spec.degrees[j]
         A[:, 1 + slot] = np.log(np.abs(zeta)) + offset
-        p = _powers(1.0 / zeta, n)
-        A[:, col : col + 2 * n : 2] = p.real
-        A[:, col + 1 : col + 2 * n : 2] = p.imag
-        col += 2 * n
-
-    oj = outer_index(components)
+        _fill_pairs(A[:, blocks[slot]], 1.0 / zeta)
     if spec.outer_degree > 0:
+        oj = outer_index(components)
         if oj is None:
             raise ValueError("outer_degree > 0 requires an outer component")
         out = components[oj]
-        p = _powers((z - out.center) / out.radius, spec.outer_degree)
-        A[:, col : col + 2 * spec.outer_degree : 2] = p.real
-        A[:, col + 1 : col + 2 * spec.outer_degree : 2] = p.imag
-        col += 2 * spec.outer_degree
-    assert col == ncols
+        _fill_pairs(A[:, blocks[-1]], (z - out.center) / out.radius)
     return A
 
 
-@dataclass(frozen=True)
-class Expansion:
-    """A fitted expansion: coefficients plus the geometry they refer to.
+def _fill_pairs(cols, t):
+    """Fill the column pairs (Re t^k, Im t^k), k = 1, 2, ..., of ``cols``."""
+    p = _powers(t, cols.shape[1] // 2)
+    cols[:, ::2] = p.real
+    cols[:, 1::2] = p.imag
 
-    ``constant`` is C in the module formula.  Disk and slit log columns both
-    behave like log|z - c_j| far away, so for an exterior problem whose log
-    coefficients sum to minus the source strength, C is the value u tends to
-    at infinity.
+
+@dataclass(frozen=True, eq=False)
+class Expansion:
+    """A fitted expansion: its coefficient vector plus the geometry it refers to.
+
+    ``vector``, the coefficients in design_matrix column order, is the only
+    stored copy: a read-only, finite copy of what the constructor is given.
+    ``constant`` is C in the module formula, ``log_coeffs`` the d_j and
+    ``blocks[slot]`` the a_k + i b_k of the slot-th inner block (the outer
+    block last), all read from ``vector`` as views.  Disk and slit log
+    columns both behave like log|z - c_j| far away, so for an exterior
+    problem whose log coefficients sum to minus the source strength, C is
+    the value u tends to at infinity.
     """
 
     components: tuple[BoundaryComponent, ...]
     spec: ExpansionSpec
-    constant: float
-    log_coeffs: tuple[float, ...]
-    cos_coeffs: tuple[tuple[float, ...], ...]
-    sin_coeffs: tuple[tuple[float, ...], ...]
-    outer_cos: tuple[float, ...] = ()
-    outer_sin: tuple[float, ...] = ()
+    vector: np.ndarray
     source: complex | None = None
     source_strength: float = 0.0
+    log_coeffs: np.ndarray = field(init=False, repr=False)
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         validate_spec(self.components, self.spec)
-        vals = [self.constant, *self.log_coeffs, self.source_strength]
-        vals += [v for row in self.cos_coeffs for v in row]
-        vals += [v for row in self.sin_coeffs for v in row]
-        vals += list(self.outer_cos) + list(self.outer_sin)
-        if not all(math.isfinite(v) for v in vals):
+        layout = column_layout(self.components, self.spec)
+        vec = np.array(self.vector, dtype=float)
+        if vec.shape != (layout[-1].stop,):
+            raise ValueError(f"coefficients do not fill the {layout[-1].stop} columns of the layout")
+        if not (np.isfinite(vec).all() and math.isfinite(self.source_strength)):
             raise ValueError("expansion coefficients must be finite")
-        # Per block (the inner ones, then the outer) c_k = a_k - i b_k and k c_k,
-        # for the evaluator; not dataclass fields, so == and from_vector ignore them.
-        pairs = [*zip(self.cos_coeffs, self.sin_coeffs), (self.outer_cos, self.outer_sin)]
-        c = [np.array(a, dtype=float) - 1j * np.array(b, dtype=float) for a, b in pairs]
-        object.__setattr__(self, "_c", tuple(c))
-        object.__setattr__(self, "_kc", tuple(np.arange(1, ck.size + 1) * ck for ck in c))
+        vec.flags.writeable = False
+        object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "log_coeffs", vec[1 : layout[0].start])
+        object.__setattr__(self, "blocks", tuple(vec[blk].view(complex) for blk in layout))
 
-    @classmethod
-    def from_vector(cls, vec, components, spec, source=None, source_strength=0.0):
-        """Unpack a least-squares solution vector in design_matrix column order."""
-        vec = np.asarray(vec, dtype=float)
-        inner = inner_indices(components)
-        if vec.shape[0] != column_count(components, spec):
-            raise ValueError("coefficient vector length does not match the column layout")
-        log_coeffs = tuple(vec[1 : 1 + len(inner)])
-        cos_rows, sin_rows = [], []
-        col = 1 + len(inner)
-        for j in inner:
-            n = spec.degrees[j]
-            cos_rows.append(tuple(vec[col : col + 2 * n : 2]))
-            sin_rows.append(tuple(vec[col + 1 : col + 2 * n : 2]))
-            col += 2 * n
-        outer_cos = tuple(vec[col : col + 2 * spec.outer_degree : 2])
-        outer_sin = tuple(vec[col + 1 : col + 2 * spec.outer_degree : 2])
-        return cls(
-            components=tuple(components),
-            spec=spec,
-            constant=float(vec[0]),
-            log_coeffs=log_coeffs,
-            cos_coeffs=tuple(cos_rows),
-            sin_coeffs=tuple(sin_rows),
-            outer_cos=outer_cos,
-            outer_sin=outer_sin,
-            source=source,
-            source_strength=source_strength,
-        )
+    @property
+    def constant(self) -> float:
+        return float(self.vector[0])
 
-    def coefficient_vector(self) -> np.ndarray:
-        """The coefficients in design_matrix column order: C, d_j, then (a_k, b_k) pairs."""
-        c = np.concatenate(self._c)
-        return np.concatenate([[self.constant, *self.log_coeffs], c.conj().view(float)])
+    # Equal when the geometry, the source and every coefficient are.
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Expansion) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        coeffs = tuple(self.vector.tolist())
+        return self.components, self.spec, self.source, self.source_strength, coeffs
 
 
 def singular_mask(exp: Expansion, z) -> np.ndarray:
@@ -292,9 +282,10 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
 
     The analytic completion f has u = Re f and grad u = conj f'.  Block j
     adds d_j (log|zeta| + offset) + Re sum_k c_jk zeta^-k to u and
-    (d_j - sum_k k c_jk zeta^-k) zeta'/zeta to f', with c_jk = a_jk - i b_jk;
-    both sums run by Horner's rule in 1/zeta, so no basis matrix is built and
-    each slit is mapped once per call.
+    (d_j - sum_k k c_jk zeta^-k) zeta'/zeta to f', with c_jk = a_jk - i b_jk
+    the conjugate of the expansion's block view; both sums run by Horner's
+    rule in 1/zeta, so no basis matrix is built and each slit is mapped once
+    per call.
     """
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -308,7 +299,7 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
         if want_fp:
             fp += exp.source_strength / (z - exp.source)
     for slot, j, zeta, offset in _local_coordinates(z, exp.components, exp.spec):
-        comp, d, c, kc = exp.components[j], exp.log_coeffs[slot], exp._c[slot], exp._kc[slot]
+        comp, d, c = exp.components[j], exp.log_coeffs[slot], exp.blocks[slot].conj()
         if comp.kind == DISK and np.any(zeta == 0):
             raise DomainError("expansion is singular at a component center")
         t = 1.0 / zeta
@@ -322,16 +313,16 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
                 if np.any(np.abs(denom) < 1e-13):
                     raise DomainError("derivative is singular at a slit endpoint")
                 dlog = 2.0 / (comp.halfspan * denom * zeta)
-            fp += (d - t * _horner(kc, t)) * dlog
+            fp += (d - t * _horner(np.arange(1, c.size + 1) * c, t)) * dlog
     if exp.spec.outer_degree > 0:
         out = exp.components[outer_index(exp.components)]
-        c, kc = exp._c[-1], exp._kc[-1]
+        c = exp.blocks[-1].conj()
         t = (z - out.center) / out.radius
         if want_u:
             u += (t * _horner(c, t)).real
         if want_fp:
             # d/dz t^k = k t^(k-1) / r_0
-            fp += _horner(kc, t) / out.radius
+            fp += _horner(np.arange(1, c.size + 1) * c, t) / out.radius
     if scalar:
         return (None if u is None else float(u[0]), None if fp is None else complex(fp[0]))
     return u, fp

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import ExpansionSpec, design_matrix
+from .basis import ExpansionSpec, column_layout, design_matrix
 from .geometry import BoundaryComponent, boundary_nodes, slit
 from .solver import (
     Problem,
@@ -29,6 +29,9 @@ from .solver import (
 MAX_LEVEL = 12
 MAX_GENERAL_LEVEL = 10
 MAX_SYMMETRIC_LEVEL = 11
+# Rows of the symmetric fold built per pair of design_matrix calls; only the
+# two full-width right-half matrices of one block are held besides the fold.
+FOLD_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,15 @@ def cantor_measures(m: int, use_symmetry: bool = False) -> list[float]:
     slit at -c_j, whose basis at z is slit j's basis at -z.  So each folded
     column is phi_j(z) + phi_j(-z) over the right-half slits alone, collocated
     on their upper sides.  The sine columns drop because u is even in y, and
-    the folded log coefficients sum to -1/2 exactly.  The result agrees with
-    the general path to solver accuracy.
+    the folded log coefficients sum to -1/2 exactly.  The fold is assembled
+    FOLD_BLOCK_ROWS rows at a time, so besides it only one block's two
+    right-half matrices are held.  The result agrees with the general path to
+    solver accuracy.
     """
     limit = MAX_SYMMETRIC_LEVEL if use_symmetry else MAX_GENERAL_LEVEL
     if m > limit:
-        hint = "" if use_symmetry else "; use_symmetry=True reaches further"
+        further = not use_symmetry and m <= MAX_SYMMETRIC_LEVEL
+        hint = f"; use_symmetry=True reaches {MAX_SYMMETRIC_LEVEL}" if further else ""
         raise ValueError(f"level {m} does not fit in memory on this path (at most {limit}){hint}")
     if use_symmetry:
         return _symmetric_measures(m)
@@ -102,10 +108,11 @@ def cantor_measures(m: int, use_symmetry: bool = False) -> list[float]:
 
 
 def cantor_inner_half_sum(m: int) -> float:
-    """Total measure of the half of the right-half-plane slits closer to the origin."""
+    """Total measure of the half of the right-half-plane slits closer to the
+    origin, from the symmetric fold (so up to MAX_SYMMETRIC_LEVEL)."""
     if m < 2:
         raise ValueError("inner-half sums need m >= 2")
-    measures = cantor_measures(m)
+    measures = cantor_measures(m, use_symmetry=True)
     return float(sum(measures[: 2 ** (m - 2)]))
 
 
@@ -118,12 +125,19 @@ def _symmetric_measures(m: int) -> list[float]:
     nodes = [boundary_nodes(s, n) for s, n in zip(right, npts)]
     z = np.concatenate([zj[:h] for (zj, _), h in zip(nodes, halves)])
     w = np.concatenate([wj[:h] for (_, wj), h in zip(nodes, halves)])
-    A = design_matrix(z, right, spec, preimages=w, owner=np.repeat(np.arange(nr), halves))
-    A += design_matrix(-z, right, spec)  # -z lies on the mirror slits
-    # The constant (back to 1), the log and the cosine columns; Fortran-ordered,
-    # so the solve factors the fold in place.
-    folded = np.asfortranarray(A[:, np.r_[: 1 + nr, 1 + nr : A.shape[1] : 2]])
-    folded[:, 0] = 1.0
+    owner = np.repeat(np.arange(nr), halves)
+    # The constant, the log and the cosine columns of the right-half layout,
+    # filled block by block into a Fortran-ordered fold that the solve
+    # factors in place.
+    layout = column_layout(right, spec)
+    keep = np.r_[: layout[0].start, layout[0].start : layout[-1].stop : 2]
+    folded = np.empty((z.size, keep.size), order="F")
+    for start in range(0, z.size, FOLD_BLOCK_ROWS):
+        rows = slice(start, start + FOLD_BLOCK_ROWS)
+        A = design_matrix(z[rows], right, spec, preimages=w[rows], owner=owner[rows])
+        A += design_matrix(-z[rows], right, spec)  # -z lies on the mirror slits
+        folded[rows] = A[:, keep]
     del A
+    folded[:, 0] = 1.0  # the constant, back to 1
     x = solve_with_log_sum(folded, -np.log(np.abs(z)), nr, -0.5)
     return [float(-d) for d in x[1 : 1 + nr]]

@@ -379,10 +379,10 @@ def build_report(solution: Solution, eval_points=()) -> dict:
             "outer_degree": solution.fit_report.outer_degree,
         },
         "coefficients": {
-            "cos": [[_sig13(a) for a in row] for row in exp.cos_coeffs],
-            "sin": [[_sig13(b) for b in row] for row in exp.sin_coeffs],
-            "outer_cos": [_sig13(a) for a in exp.outer_cos],
-            "outer_sin": [_sig13(b) for b in exp.outer_sin],
+            "cos": [[_sig13(a) for a in blk.real] for blk in exp.blocks[:-1]],
+            "sin": [[_sig13(b) for b in blk.imag] for blk in exp.blocks[:-1]],
+            "outer_cos": [_sig13(a) for a in exp.blocks[-1].real],
+            "outer_sin": [_sig13(b) for b in exp.blocks[-1].imag],
         },
         "eval": [
             {"point": [p.real, p.imag], "u": _sig13(float(eval_expansion(exp, p)))}
@@ -498,7 +498,7 @@ def _run_field_command(cfg: RunConfig, outdir: str, want_contours: bool,
     solution = solve_problem(cfg.problem, cfg.spec, list(cfg.npts))
     report = build_report(solution, cfg.eval_points)
     print(f"residual certificate: {report['residual']:.13g}")
-    if solution.problem.domain_kind == EXTERIOR and solution.expansion.log_coeffs:
+    if solution.problem.domain_kind == EXTERIOR and solution.expansion.log_coeffs.size:
         tag = "" if report["probabilistic"] else " (non-probabilistic boundary data)"
         print("harmonic measures" + tag + ":")
         for j, v in enumerate(report["measures"]):
@@ -526,6 +526,9 @@ def _run_field_command(cfg: RunConfig, outdir: str, want_contours: bool,
 
 
 def _cmd_cantor(args) -> int:
+    if not args.symmetry and MAX_GENERAL_LEVEL < args.m <= MAX_SYMMETRIC_LEVEL:
+        raise ValueError(f"level {args.m} does not fit in memory without --symmetry "
+                         f"(at most {MAX_GENERAL_LEVEL}; {MAX_SYMMETRIC_LEVEL} with --symmetry)")
     measures = cantor_measures(args.m, use_symmetry=args.symmetry)
     doc = {
         "m": args.m,

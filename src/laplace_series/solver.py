@@ -9,10 +9,12 @@ column pivoting (LAPACK dgelsy) runs only on the small triangular factor, and
 only when that is too ill-conditioned to solve with directly.  Exterior
 problems hold sum(d_j) = -s exactly, which keeps the expansion regular at
 infinity: the last log coefficient is eliminated as -s minus the others
-before the solve and restored after it.  The a-posteriori certificate is
-the maximum boundary misfit on a finer, offset sample grid, evaluated in row
-blocks no taller than the fit matrix (or the largest component grid); by the
-maximum principle it bounds the solution error throughout the domain.
+before the solve and restored after it.  The solution vector, in
+design_matrix column order, is the expansion's one stored copy of its
+coefficients.  The a-posteriori certificate is the maximum boundary misfit
+on a finer, offset sample grid: each row block, no taller than the fit
+matrix (or the largest component grid), is multiplied by that vector.  By
+the maximum principle it bounds the solution error throughout the domain.
 """
 
 from __future__ import annotations
@@ -301,10 +303,7 @@ def solve_problem(problem: Problem, spec: ExpansionSpec = None, npts=None) -> So
     else:
         x = solve_least_squares(A, b, overwrite_a=True)
     del A, b  # the certificate's row blocks take the fit matrix's place
-    expansion = Expansion.from_vector(
-        x, problem.components, spec, source=problem.source,
-        source_strength=problem.source_strength,
-    )
+    expansion = Expansion(problem.components, spec, x, problem.source, problem.source_strength)
     report = FitReport(
         rows=rows,
         cols=cols,
@@ -343,7 +342,7 @@ def boundary_residual(solution: Solution, nfine) -> float:
     z, w, owner, g = _stack_nodes(problem, [
         boundary_nodes(comp, n, _CHECK_OFFSET[comp.kind]) for comp, n in zip(comps, nfine)
     ])
-    coeffs = solution.expansion.coefficient_vector()
+    coeffs = solution.expansion.vector
     block = max(solution.fit_report.rows, *nfine)
     worst = 0.0
     for start in range(0, z.shape[0], block):

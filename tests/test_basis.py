@@ -22,20 +22,19 @@ from laplace_series.basis import (
     _powers,
     column_count,
     column_labels,
+    column_layout,
     complex_derivative,
     design_matrix,
 )
 from laplace_series.geometry import DomainError, boundary_nodes, joukowski_inverse
+from laplace_series.solver import assemble_system, solve_with_log_sum
 
 
 def source_only(strength=1.0, at=0j):
     return Expansion(
         components=(),
         spec=ExpansionSpec(degrees=()),
-        constant=0.0,
-        log_coeffs=(),
-        cos_coeffs=(),
-        sin_coeffs=(),
+        vector=[0.0],
         source=at,
         source_strength=strength,
     )
@@ -159,8 +158,7 @@ def test_eval_rejects_on_slit():
     comps = (slit(2.0, 1.0),)
     spec = ExpansionSpec(degrees=(2,))
     exp = Expansion(
-        components=comps, spec=spec, constant=0.0, log_coeffs=(-1.0,),
-        cos_coeffs=((0.0, 0.0),), sin_coeffs=((0.0, 0.0),),
+        components=comps, spec=spec, vector=[0.0, -1.0, 0.0, 0.0, 0.0, 0.0],
         source=0j, source_strength=1.0,
     )
     with pytest.raises(DomainError):
@@ -170,8 +168,8 @@ def test_eval_rejects_on_slit():
 def test_derivative_rejects_disk_center():
     comps = (disk(1 + 1j, 0.5),)
     exp = Expansion(
-        components=comps, spec=ExpansionSpec(degrees=(1,)), constant=0.0, log_coeffs=(-1.0,),
-        cos_coeffs=((0.3,),), sin_coeffs=((0.0,),), source=0j, source_strength=1.0,
+        components=comps, spec=ExpansionSpec(degrees=(1,)), vector=[0.0, -1.0, 0.3, 0.0],
+        source=0j, source_strength=1.0,
     )
     with pytest.raises(DomainError):
         complex_derivative(exp, 1 + 1j)
@@ -182,9 +180,8 @@ def test_derivative_rejects_disk_center():
 def test_eval_rejects_disk_center(degree):
     comps = (disk(1 + 1j, 0.5),)
     exp = Expansion(
-        components=comps, spec=ExpansionSpec(degrees=(degree,)), constant=0.0,
-        log_coeffs=(-1.0,), cos_coeffs=((0.3,) * degree,), sin_coeffs=((0.1,) * degree,),
-        source=0j, source_strength=1.0,
+        components=comps, spec=ExpansionSpec(degrees=(degree,)),
+        vector=[0.0, -1.0] + [0.3, 0.1] * degree, source=0j, source_strength=1.0,
     )
     for z in (1 + 1j, np.array([3 + 0j, 1 + 1j])):
         with pytest.raises(DomainError, match="component center"):
@@ -202,10 +199,7 @@ def test_gradient_of_single_power_term():
     # u = Re(z^-1): grad at i is -1/conj(i)^2 = 1
     comps = (disk(0, 1.0),)
     spec = ExpansionSpec(degrees=(1,), scaled=False)
-    exp = Expansion(
-        components=comps, spec=spec, constant=0.0, log_coeffs=(0.0,),
-        cos_coeffs=((1.0,),), sin_coeffs=((0.0,),),
-    )
+    exp = Expansion(components=comps, spec=spec, vector=[0.0, 0.0, 1.0, 0.0])
     assert abs(eval_gradient(exp, 1j) - 1.0) < 1e-14
 
 
@@ -263,25 +257,77 @@ def test_far_field_approaches_constant(disk1, three_disks, slit1, two_slits):
 
 
 def test_expansion_rejects_nonfinite_coefficients():
-    with pytest.raises(ValueError):
-        Expansion(
-            components=(disk(0, 1.0),),
-            spec=ExpansionSpec(degrees=(1,)),
-            constant=float("nan"),
-            log_coeffs=(0.0,),
-            cos_coeffs=((0.0,),),
-            sin_coeffs=((0.0,),),
-        )
+    # A bounded layout has a column in every slot: C, d, a, b, A, B.
+    comps = (disk(0, 2.0, role="outer"), disk(0.5, 0.3))
+    spec = ExpansionSpec(degrees=(0, 1), outer_degree=1)
+    assert column_labels(comps, spec) == ["C", "d[1]", "a[1,1]", "b[1,1]", "A[1]", "B[1]"]
+    Expansion(comps, spec, [0.0] * 6)
+    for slot in range(6):
+        for bad in (math.nan, math.inf, -math.inf):
+            vec = [0.0] * 6
+            vec[slot] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Expansion(comps, spec, vec)
+    with pytest.raises(ValueError, match="finite"):
+        Expansion(comps, spec, [0.0] * 6, source_strength=math.nan)
+    for wrong in ([0.0] * 5, [0.0] * 7, [[0.0] * 6], 0.0):
+        with pytest.raises(ValueError, match="6 columns"):
+            Expansion(comps, spec, wrong)
 
 
 def test_vector_round_trip(three_disks):
+    # The solve's vector is stored as it came out of the solve, and an
+    # expansion built from the stored vector equals the original.
     exp = three_disks.expansion
-    vec = exp.coefficient_vector()
-    again = Expansion.from_vector(
-        vec, exp.components, exp.spec, source=exp.source,
-        source_strength=exp.source_strength,
-    )
-    assert again == exp
+    prob, npts = three_disks.problem, three_disks.fit_report.npts
+    A, b = assemble_system(prob, exp.spec, npts)
+    x = solve_with_log_sum(A, b, len(prob.components), -1.0)
+    assert np.array_equal(exp.vector, x)
+    again = Expansion(exp.components, exp.spec, exp.vector, exp.source, exp.source_strength)
+    assert again == exp and hash(again) == hash(exp)
+    vec = exp.vector.copy()
+    vec[-1] = np.nextafter(vec[-1], np.inf)
+    assert Expansion(exp.components, exp.spec, vec, exp.source, exp.source_strength) != exp
+    assert Expansion(exp.components, exp.spec, exp.vector, exp.source, 0.5) != exp
+
+
+def test_vector_is_read_only_and_owned():
+    comps = (disk(0, 2.0, role="outer"), disk(0.5, 0.3))
+    given = np.arange(6.0)
+    exp = Expansion(comps, ExpansionSpec(degrees=(0, 1), outer_degree=1), given)
+    with pytest.raises(ValueError, match="read-only"):
+        exp.vector[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        exp.blocks[0][0] = 1.0
+    given[:] = -1.0  # the expansion keeps its own copy
+    assert exp.vector.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_coefficients_are_views_of_the_vector(two_slits, evaluator_cases):
+    for sol in (two_slits, *evaluator_cases):
+        exp = sol.expansion
+        layout = column_layout(exp.components, exp.spec)
+        assert exp.constant == exp.vector[0] and type(exp.constant) is float
+        assert np.shares_memory(exp.log_coeffs, exp.vector)
+        assert np.array_equal(exp.log_coeffs, exp.vector[1 : layout[0].start])
+        assert len(exp.blocks) == len(layout)
+        for blk, cols in zip(exp.blocks, layout):
+            assert blk.size == 0 or np.shares_memory(blk, exp.vector)
+            assert np.array_equal(blk.real, exp.vector[cols][::2])
+            assert np.array_equal(blk.imag, exp.vector[cols][1::2])
+
+
+def test_column_layout_matches_labels():
+    comps = (disk(0, 9.0, role="outer"), slit(1 + 1j, 0.6j), disk(-1.5, 0.5), slit(2 - 3j, 0.7))
+    spec = ExpansionSpec(degrees=(0, 3, 0, 2), outer_degree=4)
+    layout = column_layout(comps, spec)
+    labels = column_labels(comps, spec)
+    assert [(b.start, b.stop) for b in layout] == [(4, 10), (10, 10), (10, 14), (14, 22)]
+    assert column_count(comps, spec) == len(labels) == 22
+    assert labels[:4] == ["C", "d[1]", "d[2]", "d[3]"]
+    assert labels[layout[0]] == [f"{ab}[1,{k}]" for k in (1, 2, 3) for ab in "ab"]
+    assert labels[layout[2]] == [f"{ab}[3,{k}]" for k in (1, 2) for ab in "ab"]
+    assert labels[layout[-1]] == [f"{ab}[{k}]" for k in (1, 2, 3, 4) for ab in "AB"]
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +346,7 @@ def evaluator_cases(disk1, slit1):
 def _reference_fprime(exp, z):
     """f' from power tables, term by term as the module docstring writes it."""
     fp = np.zeros_like(z)
+    pairs = [exp.vector[cols] for cols in column_layout(exp.components, exp.spec)]
     if exp.source_strength != 0.0:
         fp += exp.source_strength / (z - exp.source)
     for slot, j, zeta, _ in _local_coordinates(z, exp.components, exp.spec):
@@ -309,12 +356,12 @@ def _reference_fprime(exp, z):
         else:
             dlog = 2.0 / (comp.halfspan * (1.0 - zeta**-2) * zeta)
         n = exp.spec.degrees[j]
-        c = np.array(exp.cos_coeffs[slot]) - 1j * np.array(exp.sin_coeffs[slot])
+        c = pairs[slot][::2] - 1j * pairs[slot][1::2]
         fp += (exp.log_coeffs[slot] - _powers(1.0 / zeta, n) @ (np.arange(1, n + 1) * c)) * dlog
     n = exp.spec.outer_degree
     if n:
         out = next(c for c in exp.components if c.role == "outer")
-        c = np.array(exp.outer_cos) - 1j * np.array(exp.outer_sin)
+        c = pairs[-1][::2] - 1j * pairs[-1][1::2]
         t = (z - out.center) / out.radius
         powers = np.concatenate([np.ones((z.size, 1)), _powers(t, n - 1)], axis=1)
         fp += powers @ (np.arange(1, n + 1) * c) / out.radius
@@ -358,7 +405,7 @@ def test_horner_matches_design_matrix(evaluator_cases):
     for sol in evaluator_cases:
         exp = sol.expansion
         pts = domain_points(sol.problem, 200, seed=21)
-        ref = design_matrix(pts, exp.components, exp.spec) @ exp.coefficient_vector()
+        ref = design_matrix(pts, exp.components, exp.spec) @ exp.vector
         if exp.source_strength != 0.0:
             ref += exp.source_strength * np.log(np.abs(pts - exp.source))
         u = eval_expansion(exp, pts)

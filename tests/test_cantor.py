@@ -6,7 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from laplace_series import basis, cantor_components, cantor_inner_half_sum, cantor_measures, solver
+from laplace_series import (
+    basis,
+    cantor,
+    cantor_components,
+    cantor_inner_half_sum,
+    cantor_measures,
+    solver,
+)
 from laplace_series.cantor import (
     _symmetric_measures,
     cantor_degree,
@@ -104,6 +111,17 @@ def test_symmetric_fold_never_builds_the_full_width_matrix():
     assert _traced_peak(_symmetric_measures, 8) < 4 * folded_bytes
 
 
+def test_symmetric_fold_is_built_in_row_blocks():
+    # Counts bytes, times nothing.  At m = 9 the fold is 4096 rows by
+    # 1 + 256 + 256*2 columns; the right-half matrices are 1 + 256 + 256*4
+    # columns wide.  Built FOLD_BLOCK_ROWS rows at a time, nothing of their
+    # full height is held besides the fold itself.
+    folded_bytes = 4096 * 769 * 8
+    block_bytes = cantor.FOLD_BLOCK_ROWS * 1281 * 8
+    assert cantor.FOLD_BLOCK_ROWS < 4096
+    assert _traced_peak(_symmetric_measures, 9) < folded_bytes + 4 * block_bytes
+
+
 def test_levels_beyond_memory_fail_up_front():
     # The general matrix at m = 11 would be 65536 x 10241 (5.4 GB), the fold at
     # m = 12 about as large: both are refused before anything is allocated.
@@ -111,8 +129,9 @@ def test_levels_beyond_memory_fail_up_front():
         with pytest.raises(ValueError, match=match):
             cantor_measures(m, use_symmetry=use_symmetry)
 
-    assert _traced_peak(refuse, 11, False, "use_symmetry=True") < 2**20
+    assert _traced_peak(refuse, 11, False, "use_symmetry=True reaches 11") < 2**20
     assert _traced_peak(refuse, 12, True, "at most 11") < 2**20
+    assert _traced_peak(refuse, 12, False, r"at most 10\)$") < 2**20
     assert len(cantor_components(12).slits) == 4096
 
 
@@ -136,6 +155,16 @@ def test_inner_half_sums_match_paper_sequence():
     # from the level whose right half first splits, i.e. levels 2, 3, 4, ...
     assert abs(cantor_inner_half_sum(2) - 0.367776) < 1e-6
     assert abs(cantor_inner_half_sum(3) - 0.364965) < 1e-6
+    assert abs(cantor_inner_half_sum(4) - 0.363512) < 1e-6
+
+
+def test_inner_half_sums_take_the_symmetric_fold(monkeypatch):
+    # The general path stops at MAX_GENERAL_LEVEL; the inner-half sums do not
+    # need it.
+    def general_solve(m):
+        raise AssertionError("the general path was taken")
+
+    monkeypatch.setattr(cantor, "cantor_solution", general_solve)
     assert abs(cantor_inner_half_sum(4) - 0.363512) < 1e-6
 
 

@@ -185,6 +185,15 @@ def test_cli_cantor_subcommand(tmp_path):
     assert all(abs(a - b) < 1e-8 for a, b in zip(doc["measures"], doc_sym["measures"]))
 
 
+def test_cli_cantor_level_beyond_the_general_path_names_the_flag(tmp_path, capsys):
+    assert main(["cantor", "-m", "11", "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "--symmetry" in err and "use_symmetry" not in err
+    assert main(["cantor", "-m", "12", "--symmetry", "-o", str(tmp_path)]) == 1
+    assert "at most 11" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text('{"components": [{"kind": "disk", "center": [0,0], "radiusss": 1}]}')

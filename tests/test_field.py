@@ -44,8 +44,7 @@ from laplace_series.solver import FitReport
 def pure_source():
     prob = Problem(components=(), domain_kind="exterior", source=0j)
     exp = Expansion(
-        components=(), spec=ExpansionSpec(degrees=()), constant=0.0,
-        log_coeffs=(), cos_coeffs=(), sin_coeffs=(),
+        components=(), spec=ExpansionSpec(degrees=()), vector=[0.0],
         source=0j, source_strength=1.0,
     )
     return Solution(prob, exp, 0.0, FitReport(0, 0, (), ()))
@@ -133,8 +132,7 @@ def test_fan_argument_errors(disk1, pure_source):
     sourceless = Solution(
         Problem((disk(3 + 1j, 1.0),), "exterior", None, (0.0,)),
         Expansion(
-            components=(disk(3 + 1j, 1.0),), spec=ExpansionSpec(degrees=(0,)),
-            constant=0.0, log_coeffs=(0.0,), cos_coeffs=((),), sin_coeffs=((),),
+            components=(disk(3 + 1j, 1.0),), spec=ExpansionSpec(degrees=(0,)), vector=[0.0, 0.0],
         ),
         0.0,
         FitReport(0, 0, (), ()),
@@ -190,9 +188,8 @@ def test_stage_failures_stay_on_their_line():
     # slit, but f' is singular there) and at the source mark only their own
     # lines; the other lines get unit ascent directions.
     exp = Expansion(
-        components=(slit(2.0, 1.0),), spec=ExpansionSpec(degrees=(2,)), constant=0.0,
-        log_coeffs=(-1.0,), cos_coeffs=((0.1, 0.0),), sin_coeffs=((0.0, 0.2),),
-        source=0j, source_strength=1.0,
+        components=(slit(2.0, 1.0),), spec=ExpansionSpec(degrees=(2,)),
+        vector=[0.0, -1.0, 0.1, 0.0, 0.0, 0.2], source=0j, source_strength=1.0,
     )
     z = np.array([2.5 + 0j, 0.5 + 0.5j, 3.0 + 1e-300j, 0j, -1.0 + 0j])
     status = np.zeros(z.size, dtype=np.int8)
