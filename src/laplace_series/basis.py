@@ -12,8 +12,10 @@ log(|w_j(z)|*|r_j|/2) and T_j = w_j(z) with w_j the inverse slit map and r_j
 the halfspan.  Far away w_j(z) ~ 2(z - c_j)/r_j, so every L_j behaves like
 log|z - c_j| there and C is the limit of u at infinity whenever the log
 coefficients cancel the source.  The outer block
-T_0 = (z - c_0)/r_0 uses positive powers.  The source term has a fixed unit
-coefficient and never enters the fitted columns.
+T_0 = (z - c_0)/r_0 uses positive powers.  Each component's block runs to its
+own degree (k = 1..N_j for an inner component, k = 1..N_0 for the outer
+circle).  The source term has a fixed unit coefficient and never enters the
+fitted columns.
 
 Gradients use the identity grad Re f = conj(f') applied to the analytic
 completion of each term.  ``design_matrix`` is the one assembly path; one
@@ -43,22 +45,19 @@ from .geometry import (
 class ExpansionSpec:
     """Degrees and scaling choices for one expansion.
 
-    ``degrees[j]`` is the negative-power degree of component j; the entry for
-    an outer component must be 0, with its positive-power degree carried by
-    ``outer_degree``.  ``scaled`` switches disk power columns from (z-c)^-k to
+    ``degrees[j]`` is the degree of component j's block: the highest negative
+    power for an inner component, the highest positive power for the outer
+    circle.  ``scaled`` switches disk power columns from (z-c)^-k to
     ((z-c)/r)^-k, which keeps matrix columns near unit size.
     """
 
     degrees: tuple[int, ...]
     scaled: bool = True
-    outer_degree: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(int(n) for n in self.degrees))
         if any(n < 0 for n in self.degrees):
             raise ValueError("degrees must be >= 0")
-        if self.outer_degree < 0:
-            raise ValueError("outer_degree must be >= 0")
 
 
 def validate_spec(components: tuple[BoundaryComponent, ...], spec: ExpansionSpec) -> None:
@@ -66,9 +65,6 @@ def validate_spec(components: tuple[BoundaryComponent, ...], spec: ExpansionSpec
         raise ValueError(
             f"spec lists {len(spec.degrees)} degrees for {len(components)} components"
         )
-    for j, comp in enumerate(components):
-        if comp.role == OUTER and spec.degrees[j] != 0:
-            raise ValueError("outer component takes outer_degree, not a negative-power degree")
 
 
 def inner_indices(components) -> list[int]:
@@ -91,9 +87,10 @@ def column_layout(components, spec: ExpansionSpec) -> tuple[slice, ...]:
     slice ends at the column count.
     """
     inner = inner_indices(components)
+    oj = outer_index(components)
     col = 1 + len(inner)
     blocks = []
-    for n in [spec.degrees[j] for j in inner] + [spec.outer_degree]:
+    for n in [spec.degrees[j] for j in inner] + [0 if oj is None else spec.degrees[oj]]:
         blocks.append(slice(col, col + 2 * n))
         col += 2 * n
     return tuple(blocks)
@@ -178,11 +175,8 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None
     for slot, j, zeta, offset in _local_coordinates(z, components, spec, preimages, owner):
         A[:, 1 + slot] = np.log(np.abs(zeta)) + offset
         _fill_pairs(A[:, blocks[slot]], 1.0 / zeta)
-    if spec.outer_degree > 0:
-        oj = outer_index(components)
-        if oj is None:
-            raise ValueError("outer_degree > 0 requires an outer component")
-        out = components[oj]
+    if blocks[-1].stop > blocks[-1].start:
+        out = components[outer_index(components)]
         _fill_pairs(A[:, blocks[-1]], (z - out.center) / out.radius)
     return A
 
@@ -314,7 +308,7 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
                     raise DomainError("derivative is singular at a slit endpoint")
                 dlog = 2.0 / (comp.halfspan * denom * zeta)
             fp += (d - t * _horner(np.arange(1, c.size + 1) * c, t)) * dlog
-    if exp.spec.outer_degree > 0:
+    if exp.blocks[-1].size:
         out = exp.components[outer_index(exp.components)]
         c = exp.blocks[-1].conj()
         t = (z - out.center) / out.radius

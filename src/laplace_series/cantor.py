@@ -19,9 +19,9 @@ from .geometry import BoundaryComponent, boundary_nodes, slit
 from .solver import (
     Problem,
     Solution,
+    assemble_system,
     default_npts,
     green_problem,
-    harmonic_measures,
     solve_problem,
     solve_with_log_sum,
 )
@@ -77,7 +77,7 @@ def cantor_spec(m: int, nslits: int = None) -> ExpansionSpec:
 
 
 def cantor_solution(m: int) -> Solution:
-    """Green solve over all 2^m slits by the general path."""
+    """Green solve over all 2^m slits by the general path, with its certificate."""
     return solve_problem(cantor_problem(m), cantor_spec(m))
 
 
@@ -86,6 +86,8 @@ def cantor_measures(m: int, use_symmetry: bool = False) -> list[float]:
 
     The general path solves over all 2^m slits and runs up to level
     MAX_GENERAL_LEVEL; its matrix at the next level would need about 5.4 GB.
+    It fits the same system as cantor_solution but skips the certificate,
+    which the measures do not use.
     With ``use_symmetry`` (up to MAX_SYMMETRIC_LEVEL) the solve uses the mirror
     symmetry u(z) = u(-z) = u(conj z): the mirror of right-half slit j is the
     slit at -c_j, whose basis at z is slit j's basis at -z.  So each folded
@@ -103,8 +105,10 @@ def cantor_measures(m: int, use_symmetry: bool = False) -> list[float]:
         raise ValueError(f"level {m} does not fit in memory on this path (at most {limit}){hint}")
     if use_symmetry:
         return _symmetric_measures(m)
-    measures = harmonic_measures(cantor_solution(m)).measures
-    return list(measures[len(measures) // 2 :])  # the slits run left to right
+    problem, spec = cantor_problem(m), cantor_spec(m)
+    A, b = assemble_system(problem, spec, default_npts(problem.components, spec))
+    x = solve_with_log_sum(A, b, 2**m, -1.0)
+    return [float(-d) for d in x[1 + 2 ** (m - 1) : 1 + 2**m]]  # the slits run left to right
 
 
 def cantor_inner_half_sum(m: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import ExpansionSpec, eval_expansion
+from .basis import ExpansionSpec, eval_expansion, outer_index
 from .cantor import MAX_GENERAL_LEVEL, MAX_SYMMETRIC_LEVEL, cantor_degree, cantor_measures
 from .field import (
     EQUIPOTENTIAL,
@@ -95,14 +95,24 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _number(value, where: str, positive: bool = False) -> float:
+    """A finite JSON number as a float; true, false, NaN and the infinities
+    (which Python's json accepts) are not numbers here."""
+    x = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not math.isfinite(x) or (positive and x <= 0):
+        raise ConfigError(f"{where} must be a finite{' positive' if positive else ''} number")
+    return x
+
+
 def _point(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where} must be a [x, y] pair of numbers")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]"))
 
 
 def _parse_component(entry, idx: int) -> tuple[BoundaryComponent, float]:
@@ -119,19 +129,14 @@ def _parse_component(entry, idx: int) -> tuple[BoundaryComponent, float]:
     role = entry.get("role", INNER)
     if role not in (INNER, OUTER):
         raise ConfigError(f"{where}.role must be 'inner' or 'outer'")
-    value = entry.get("value", 0.0)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}.value must be a number")
+    value = _number(entry.get("value", 0.0), f"{where}.value")
     try:
         if kind == DISK:
             if "halfspan" in entry:
                 raise ConfigError(f"key 'halfspan' is not valid for a disk in {where}")
             if "radius" not in entry:
                 raise ConfigError(f"{where}.radius is required for a disk")
-            radius = entry["radius"]
-            if not isinstance(radius, (int, float)) or isinstance(radius, bool) or radius <= 0:
-                raise ConfigError(f"{where}.radius must be a positive number")
-            comp = disk(center, float(radius), role)
+            comp = disk(center, _number(entry["radius"], f"{where}.radius", positive=True), role)
         else:
             if "radius" in entry:
                 raise ConfigError(f"key 'radius' is not valid for a slit in {where}")
@@ -145,7 +150,7 @@ def _parse_component(entry, idx: int) -> tuple[BoundaryComponent, float]:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{where}: {exc}") from exc
-    return comp, float(value)
+    return comp, value
 
 
 def parse_problem_config(text: str) -> RunConfig:
@@ -178,36 +183,24 @@ def parse_problem_config(text: str) -> RunConfig:
     if isinstance(degree, int) and not isinstance(degree, bool):
         if degree < 0:
             raise ConfigError("'degree' must be >= 0")
+        degree = [degree] * len(components)
     elif isinstance(degree, list):
         if len(degree) != len(components):
             raise ConfigError("'degree' list must give one entry per component")
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in degree):
             raise ConfigError("'degree' entries must be integers >= 0")
-        outer_degree = 0
-        degs = []
-        for n, c in zip(degree, components):
-            if c.role == OUTER:
-                outer_degree = n
-                degs.append(0)
-            else:
-                degs.append(n)
-        degrees = tuple(degs)
     else:
         raise ConfigError("'degree' must be an integer or a list of integers")
 
     scaled = raw.get("scaled", True)
     if not isinstance(scaled, bool):
         raise ConfigError("'scaled' must be true or false")
+    spec = ExpansionSpec(degrees=tuple(degree), scaled=scaled)
 
     try:
         problem = Problem(components, domain, source, boundary_data)
     except (GeometryError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    if isinstance(degree, int):
-        spec = default_spec(problem, degree, scaled)
-    else:
-        spec = ExpansionSpec(degrees=degrees, scaled=scaled, outer_degree=outer_degree)
 
     npts_raw = raw.get("npts")
     if npts_raw is None:
@@ -223,25 +216,20 @@ def parse_problem_config(text: str) -> RunConfig:
 
     if "window" in raw:
         win = raw["window"]
-        if (
-            not isinstance(win, list)
-            or len(win) != 4
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in win)
-            or not (win[0] < win[1] and win[2] < win[3])
-        ):
-            raise ConfigError("'window' must be [x0, x1, y0, y1] with x0 < x1 and y0 < y1")
-        window = tuple(float(v) for v in win)
+        if not isinstance(win, list) or len(win) != 4:
+            raise ConfigError("'window' must be a list [x0, x1, y0, y1]")
+        window = tuple(_number(v, f"window[{i}]") for i, v in enumerate(win))
+        if not (window[0] < window[1] and window[2] < window[3]):
+            raise ConfigError("'window' must have x0 < x1 and y0 < y1")
     else:
         window = default_window(problem)
 
     levels = None
     if "levels" in raw:
         lv = raw["levels"]
-        if not isinstance(lv, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in lv
-        ):
+        if not isinstance(lv, list):
             raise ConfigError("'levels' must be a list of numbers")
-        levels = tuple(float(v) for v in lv)
+        levels = tuple(_number(v, f"levels[{i}]") for i, v in enumerate(lv))
 
     sl = raw.get("streamlines", {})
     if not isinstance(sl, dict):
@@ -251,19 +239,18 @@ def parse_problem_config(text: str) -> RunConfig:
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ConfigError("'streamlines.count' must be an integer >= 0")
     eps = sl.get("eps")
-    if eps is not None and (not isinstance(eps, (int, float)) or eps <= 0):
-        raise ConfigError("'streamlines.eps' must be a positive number")
-    streamlines = StreamlineRequest(count=count, eps=None if eps is None else float(eps))
+    if eps is not None:
+        eps = _number(eps, "streamlines.eps", positive=True)
+    streamlines = StreamlineRequest(count=count, eps=eps)
 
     out = raw.get("outputs", {})
     if not isinstance(out, dict):
         raise ConfigError("'outputs' must be an object")
     _reject_unknown(out, _OUTPUT_KEYS, "'outputs'")
-    outputs = OutputPaths(
-        report=out.get("report", "report.json"),
-        csv=out.get("csv", "field.csv"),
-        svg=out.get("svg"),
-    )
+    for key, path in out.items():
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"outputs.{key} must be a path or null")
+    outputs = OutputPaths(**out)
 
     eval_points = ()
     if "eval" in raw:
@@ -296,17 +283,13 @@ def serialize_config(cfg: RunConfig) -> str:
         entry["value"] = float(value)
         entry["role"] = comp.role
         comps.append(entry)
-    degrees = [
-        cfg.spec.outer_degree if c.role == OUTER else n
-        for n, c in zip(cfg.spec.degrees, cfg.problem.components)
-    ]
     doc = {
         "domain": cfg.problem.domain_kind,
         "source": None
         if cfg.problem.source is None
         else [cfg.problem.source.real, cfg.problem.source.imag],
         "components": comps,
-        "degree": degrees,
+        "degree": list(cfg.spec.degrees),
         "npts": list(cfg.npts),
         "scaled": cfg.spec.scaled,
         "window": list(cfg.window),
@@ -359,6 +342,8 @@ def _auto_levels(solution: Solution, window, n: int = 12) -> tuple[float, ...]:
 def build_report(solution: Solution, eval_points=()) -> dict:
     exp = solution.expansion
     report = harmonic_measures(solution)
+    # report.json lists the outer circle's degree apart, with 0 in its place.
+    oj = outer_index(exp.components)
     doc = {
         "domain": solution.problem.domain_kind,
         "constant": _sig13(exp.constant),
@@ -375,8 +360,8 @@ def build_report(solution: Solution, eval_points=()) -> dict:
             "rows": solution.fit_report.rows,
             "cols": solution.fit_report.cols,
             "npts": list(solution.fit_report.npts),
-            "degrees": list(solution.fit_report.degrees),
-            "outer_degree": solution.fit_report.outer_degree,
+            "degrees": [0 if j == oj else n for j, n in enumerate(exp.spec.degrees)],
+            "outer_degree": 0 if oj is None else exp.spec.degrees[oj],
         },
         "coefficients": {
             "cos": [[_sig13(a) for a in blk.real] for blk in exp.blocks[:-1]],

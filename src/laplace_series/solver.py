@@ -143,8 +143,6 @@ class FitReport:
     rows: int
     cols: int
     npts: tuple[int, ...]
-    degrees: tuple[int, ...]
-    outer_degree: int = 0
 
 
 @dataclass(frozen=True)
@@ -172,19 +170,14 @@ class MeasureReport:
     probabilistic: bool
 
 
-def effective_degree(components, spec: ExpansionSpec, j: int) -> int:
-    return spec.outer_degree if components[j].role == OUTER else spec.degrees[j]
-
-
 def default_npts(components, spec: ExpansionSpec) -> list[int]:
     """Oversampled point counts: npts_j = max(32, 8 N_j)."""
-    return [max(32, 8 * effective_degree(components, spec, j)) for j in range(len(components))]
+    return [max(32, 8 * n) for n in spec.degrees]
 
 
 def default_spec(problem: Problem, degree: int = 10, scaled: bool = True) -> ExpansionSpec:
-    degrees = tuple(0 if c.role == OUTER else degree for c in problem.components)
-    outer = degree if any(c.role == OUTER for c in problem.components) else 0
-    return ExpansionSpec(degrees=degrees, scaled=scaled, outer_degree=outer)
+    """The same degree for every component's block, inner or outer."""
+    return ExpansionSpec(degrees=(degree,) * len(problem.components), scaled=scaled)
 
 
 def _boundary_rows(problem: Problem, spec: ExpansionSpec, npts):
@@ -193,10 +186,9 @@ def _boundary_rows(problem: Problem, spec: ExpansionSpec, npts):
     nodes = []
     for j, comp in enumerate(comps):
         n = int(npts[j])
-        if n < 2 * effective_degree(comps, spec, j) + 2:
+        if n < 2 * spec.degrees[j] + 2:
             raise ValueError(
-                f"components[{j}] is undersampled: npts={n} for degree "
-                f"{effective_degree(comps, spec, j)}"
+                f"components[{j}] is undersampled: npts={n} for degree {spec.degrees[j]}"
             )
         nodes.append(boundary_nodes(comp, n))
     z, w, owner, b = _stack_nodes(problem, nodes)
@@ -304,13 +296,7 @@ def solve_problem(problem: Problem, spec: ExpansionSpec = None, npts=None) -> So
         x = solve_least_squares(A, b, overwrite_a=True)
     del A, b  # the certificate's row blocks take the fit matrix's place
     expansion = Expansion(problem.components, spec, x, problem.source, problem.source_strength)
-    report = FitReport(
-        rows=rows,
-        cols=cols,
-        npts=tuple(int(n) for n in npts),
-        degrees=spec.degrees,
-        outer_degree=spec.outer_degree,
-    )
+    report = FitReport(rows=rows, cols=cols, npts=tuple(int(n) for n in npts))
     sol = Solution(problem, expansion, 0.0, report)
     residual = boundary_residual(sol, [4 * int(n) for n in npts])
     return Solution(problem, expansion, residual, report)

@@ -86,6 +86,21 @@ def test_measures_match_tables(m):
         assert abs(got - want) < 1e-6
 
 
+def test_general_measures_skip_the_certificate(monkeypatch):
+    # The measures are log coefficients of the fit; the 4x certificate grid
+    # belongs to cantor_solution alone.
+    def certificate(*args, **kwargs):
+        raise AssertionError("the certificate was computed")
+
+    monkeypatch.setattr(solver, "boundary_residual", certificate)
+    measures = cantor_measures(4)
+    assert len(measures) == len(PAPER_TABLES[4])
+    for got, want in zip(measures, PAPER_TABLES[4]):
+        assert abs(got - want) < 1e-6
+    with pytest.raises(AssertionError, match="certificate"):
+        cantor_solution(4)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_symmetric_path_agrees_with_general(m):
     general = cantor_measures(m)
@@ -160,11 +175,12 @@ def test_inner_half_sums_match_paper_sequence():
 
 def test_inner_half_sums_take_the_symmetric_fold(monkeypatch):
     # The general path stops at MAX_GENERAL_LEVEL; the inner-half sums do not
-    # need it.
-    def general_solve(m):
+    # need it.  That path assembles its system through assemble_system.
+    def general_solve(*args, **kwargs):
         raise AssertionError("the general path was taken")
 
     monkeypatch.setattr(cantor, "cantor_solution", general_solve)
+    monkeypatch.setattr(cantor, "assemble_system", general_solve)
     assert abs(cantor_inner_half_sum(4) - 0.363512) < 1e-6
 
 
@@ -174,9 +190,12 @@ def test_inner_half_sum_requires_split():
 
 
 def test_inner_half_sums_settle_monotonically():
-    sums = [cantor_inner_half_sum(m) for m in range(4, 8)]
+    sums = [cantor_inner_half_sum(m) for m in range(4, 10)]
     assert all(b < a for a, b in zip(sums, sums[1:]))
-    # heading toward the documented limit near 0.362
+    # Each step closes about half the remaining gap (observed ratios
+    # 0.509-0.511), so the sums head geometrically toward a limit near 0.362.
+    steps = [a - b for a, b in zip(sums, sums[1:])]
+    assert all(0.45 < b / a < 0.55 for a, b in zip(steps, steps[1:]))
     assert sums[-1] > 0.3620
 
 

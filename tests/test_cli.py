@@ -165,14 +165,32 @@ ANNULUS = """
 
 def test_bounded_degree_follows_default_spec(tmp_path):
     # An integer degree, from the file or from --degree, means what
-    # default_spec means by it: 0 for the outer entry, outer_degree = degree.
+    # default_spec means by it: that degree for every block, the outer one too.
     cfg = parse_problem_config(ANNULUS.replace("DEGREE", "6"))
     assert cfg.spec == default_spec(cfg.problem, 6)
-    assert cfg.spec.outer_degree == 6 and cfg.spec.degrees == (0, 6)
+    assert cfg.spec.degrees == (6, 6)
     path = tmp_path / "annulus.json"
     path.write_text(ANNULUS.replace("DEGREE", "3"))
     args = argparse.Namespace(config=str(path), degree=6, npts=None, no_scale=False)
     assert _load_config(args).spec == default_spec(cfg.problem, 6)
+
+
+def test_bounded_degree_list_keeps_the_report_format(tmp_path):
+    # The list gives each component's own degree, the outer circle's first
+    # here; report.json lists the outer degree apart, with 0 in its place.
+    text = ANNULUS.replace("DEGREE", "[7, 5]")
+    cfg = parse_problem_config(text)
+    assert cfg.spec.degrees == (7, 5) and cfg.npts == (56, 40)
+    assert json.loads(serialize_config(cfg))["degree"] == [7, 5]
+    assert parse_problem_config(serialize_config(cfg)) == cfg
+    path = tmp_path / "annulus.json"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path), "-o", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["fit"]["degrees"] == [0, 5] and report["fit"]["outer_degree"] == 7
+    assert report["fit"]["cols"] == 2 + 2 * 5 + 2 * 7
+    assert [len(c) for c in report["coefficients"]["cos"]] == [5]
+    assert len(report["coefficients"]["outer_cos"]) == 7
 
 
 def test_cli_cantor_subcommand(tmp_path):
@@ -199,6 +217,54 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     cfg_path.write_text('{"components": [{"kind": "disk", "center": [0,0], "radiusss": 1}]}')
     assert main(["solve", "--config", str(cfg_path)]) == 1
     assert "radiusss" in capsys.readouterr().err
+
+
+def test_output_paths_must_be_strings_or_null(tmp_path, capsys):
+    cfg = json.loads(DISK1)
+    cfg["outputs"] = {"report": 5}
+    with pytest.raises(ConfigError, match=r"outputs\.report"):
+        parse_problem_config(json.dumps(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path), "-o", str(tmp_path)]) == 1
+    assert "error: outputs.report" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+    cfg["outputs"] = {"report": None, "csv": "lines.csv"}
+    assert parse_problem_config(json.dumps(cfg)).outputs == OutputPaths(None, "lines.csv", None)
+
+
+BAD_NUMBERS = {
+    "value-nan": ('"value": 0.0', '"value": NaN', r"components\[0\]\.value"),
+    "value-bool": ('"value": 0.0', '"value": true', r"components\[0\]\.value"),
+    "value-overflow": ('"value": 0.0', '"value": 1' + "0" * 400, r"components\[0\]\.value"),
+    "radius-inf": ('"radius": 1.0', '"radius": Infinity', r"components\[0\]\.radius"),
+    "radius-1e400": ('"radius": 1.0', '"radius": 1e400', r"components\[0\]\.radius"),
+    "radius-bool": ('"radius": 1.0', '"radius": false', r"components\[0\]\.radius"),
+    "center-nan": ('"center": [3, 1]', '"center": [3, NaN]', r"components\[0\]\.center\[1\]"),
+    "source-bool": ('"source": [0, 0]', '"source": [true, 0]', r"source\[0\]"),
+    "eval-inf": ('"eval": [[2, 0]]', '"eval": [[2, -Infinity]]', r"eval\[0\]\[1\]"),
+    "levels-nan": ('"levels": [-0.6, -0.4, -0.2]', '"levels": [-0.6, NaN]', r"levels\[1\]"),
+    "levels-bool": ('"levels": [-0.6, -0.4, -0.2]', '"levels": [true]', r"levels\[0\]"),
+    "eps-bool": ('"eps": 0.01', '"eps": true', r"streamlines\.eps"),
+    "eps-nan": ('"eps": 0.01', '"eps": NaN', r"streamlines\.eps"),
+    "eps-negative": ('"eps": 0.01', '"eps": -0.5', r"streamlines\.eps"),
+    "window-nan": ('"degree": 12,', '"degree": 12, "window": [-4, 4, NaN, 3],', r"window\[2\]"),
+    "window-bool": ('"degree": 12,', '"degree": 12, "window": [-4, 4, 3, true],', r"window\[3\]"),
+}
+
+
+@pytest.mark.parametrize("old,new,key", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
+def test_numeric_keys_reject_bools_and_nonfinite_values(old, new, key):
+    assert old in DISK1
+    with pytest.raises(ConfigError, match=key + " must be a finite"):
+        parse_problem_config(DISK1.replace(old, new))
+
+
+def test_window_order_is_checked():
+    for win in ("[4, -4, -3, 3]", "[-4, 4, 3, 3]", "[-4, 4, 3]"):
+        text = DISK1.replace('"degree": 12,', f'"degree": 12, "window": {win},')
+        with pytest.raises(ConfigError, match="'window' must"):
+            parse_problem_config(text)
 
 
 def test_cli_unwritable_output_leaves_no_partial_files(tmp_path):

@@ -47,7 +47,7 @@ def pure_source():
         components=(), spec=ExpansionSpec(degrees=()), vector=[0.0],
         source=0j, source_strength=1.0,
     )
-    return Solution(prob, exp, 0.0, FitReport(0, 0, (), ()))
+    return Solution(prob, exp, 0.0, FitReport(0, 0, ()))
 
 
 def test_pure_source_ray(pure_source):
@@ -135,7 +135,7 @@ def test_fan_argument_errors(disk1, pure_source):
             components=(disk(3 + 1j, 1.0),), spec=ExpansionSpec(degrees=(0,)), vector=[0.0, 0.0],
         ),
         0.0,
-        FitReport(0, 0, (), ()),
+        FitReport(0, 0, ()),
     )
     with pytest.raises(ValueError):
         streamline_fan(sourceless, 4, 0.01)

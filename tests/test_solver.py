@@ -353,7 +353,7 @@ def test_empty_problem_is_rejected():
         solve_with_log_sum(np.ones((4, 2)), np.ones(4), 0, -1.0)
     bare = Expansion((), ExpansionSpec(degrees=()), [0.0], source=0j, source_strength=1.0)
     with pytest.raises(ValueError, match="without boundary components"):
-        boundary_residual(Solution(prob, bare, 0.0, FitReport(0, 0, (), ())), 4)
+        boundary_residual(Solution(prob, bare, 0.0, FitReport(0, 0, ())), 4)
 
 
 def test_flux_quantization(three_disks):
