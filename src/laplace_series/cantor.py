@@ -10,7 +10,6 @@ tiny degree already gives six digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,22 +47,19 @@ def cantor_degree(m: int) -> int:
 def cantor_components(m: int) -> CantorLevel:
     """The 2^m slits of the level-m approximation, left to right.
 
-    Endpoints are built in exact ternary rationals and converted to floats
-    once, so deep levels carry no accumulated drift.
+    Left ends are exact integers in units of 1/(2*3^m), in which every slit
+    is 6 long, and each center and halfspan is one correctly rounded integer
+    division, so deep levels carry no accumulated drift.
     """
     if not 1 <= m <= MAX_LEVEL:
         raise ValueError(f"level must be in 1..{MAX_LEVEL}, got {m}")
-    intervals = [(Fraction(-3, 2), Fraction(3, 2))]
+    unit = 2 * 3**m
+    length = 3 * unit  # of [-3/2, 3/2]
+    lefts = [-length // 2]
     for _ in range(m):
-        nxt = []
-        for a, b in intervals:
-            third = (b - a) / 3
-            nxt.append((a, a + third))
-            nxt.append((b - third, b))
-        intervals = nxt
-    slits = tuple(
-        slit(float((a + b) / 2), float((b - a) / 2)) for a, b in intervals
-    )
+        length //= 3
+        lefts = [a + shift for a in lefts for shift in (0, 2 * length)]
+    slits = tuple(slit((a + 3) / unit, 3 / unit) for a in lefts)
     return CantorLevel(m=m, slits=slits, total_span=(-1.5, 1.5))
 
 
@@ -106,7 +102,7 @@ def cantor_measures(m: int, use_symmetry: bool = False) -> list[float]:
     if use_symmetry:
         return _symmetric_measures(m)
     problem, spec = cantor_problem(m), cantor_spec(m)
-    A, b = assemble_system(problem, spec, default_npts(problem.components, spec))
+    A, b = assemble_system(problem, spec, default_npts(spec))
     x = solve_with_log_sum(A, b, 2**m, -1.0)
     return [float(-d) for d in x[1 + 2 ** (m - 1) : 1 + 2**m]]  # the slits run left to right
 
@@ -124,7 +120,7 @@ def _symmetric_measures(m: int) -> list[float]:
     right = cantor_components(m).slits[2 ** (m - 1) :]
     nr = len(right)
     spec = cantor_spec(m, nr)
-    npts = default_npts(right, spec)
+    npts = default_npts(spec)
     halves = [n // 2 for n in npts]  # the first half of the nodes covers the upper side
     nodes = [boundary_nodes(s, n) for s, n in zip(right, npts)]
     z = np.concatenate([zj[:h] for (zj, _), h in zip(nodes, halves)])

@@ -204,7 +204,7 @@ def parse_problem_config(text: str) -> RunConfig:
 
     npts_raw = raw.get("npts")
     if npts_raw is None:
-        npts = tuple(default_npts(components, spec))
+        npts = tuple(default_npts(spec))
     elif isinstance(npts_raw, int) and not isinstance(npts_raw, bool):
         npts = tuple(npts_raw for _ in components)
     elif isinstance(npts_raw, list) and len(npts_raw) == len(components):
@@ -548,7 +548,7 @@ def _load_config(args) -> RunConfig:
             spec = replace(cfg.spec, scaled=scaled)
         npts = cfg.npts
         if args.degree is not None and args.npts is None:
-            npts = tuple(default_npts(cfg.problem.components, spec))
+            npts = tuple(default_npts(spec))
         if args.npts is not None:
             npts = tuple(args.npts for _ in cfg.problem.components)
         cfg = replace(cfg, spec=spec, npts=npts)

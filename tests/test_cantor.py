@@ -67,6 +67,22 @@ def test_exact_ternary_endpoints():
             assert got.imag == 0.0
 
 
+def test_centers_and_halfspans_are_correctly_rounded():
+    # Each center and halfspan is the nearest float to the exact rational of
+    # the middle-thirds construction, at every level.
+    intervals = [(Fraction(-3, 2), Fraction(3, 2))]
+    for m in range(1, 13):
+        intervals = [
+            piece for a, b in intervals for piece in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))
+        ]
+        slits = cantor_components(m).slits
+        assert len(slits) == len(intervals) == 2**m
+        for s, (a, b) in zip(slits, intervals):
+            assert s.center.real.hex() == float((a + b) / 2).hex()
+            assert s.halfspan.real.hex() == float((b - a) / 2).hex()
+            assert s.center.imag == s.halfspan.imag == 0.0
+
+
 def test_level_bounds():
     with pytest.raises(ValueError):
         cantor_components(0)

@@ -34,6 +34,7 @@ from laplace_series.cantor import (
 )
 from laplace_series.geometry import boundary_nodes, in_hole
 from laplace_series.solver import (
+    QRT_COLUMNS,
     RANK_TOL,
     FitReport,
     Solution,
@@ -116,7 +117,7 @@ def test_samples_are_not_tested_against_their_own_disk():
     # Rounding at |center| = 1e6 puts some of a disk's own samples inside its
     # circle; they are tested only against the other disk.
     prob = green_problem([disk(1e6, 1e-3), disk(1e6 + 2e-3 + 1e-10, 1e-3)])
-    z, _ = boundary_nodes(prob.components[0], default_npts(prob.components, default_spec(prob))[0])
+    z, _ = boundary_nodes(prob.components[0], default_npts(default_spec(prob))[0])
     assert np.any(in_hole(prob.components[0], z) & (np.abs(z - 1e6) < 1e-3))
     sol = solve_problem(prob)
     assert math.isfinite(sol.residual)
@@ -199,9 +200,10 @@ def test_lstsq_never_worse_than_zero(cols, seed):
 def test_lstsq_leaves_its_inputs_unchanged():
     # A one-column matrix is both C- and F-contiguous, so contiguity must not
     # decide whether the caller's matrix is factored in place.  A duplicated
-    # column sends the solve down the rank-revealing fallback.
+    # column sends the solve down the rank-revealing fallback.  The widest
+    # matrices take dgeqrt, whose dgemqrt must not write into the caller's b.
     rng = np.random.default_rng(7)
-    for cols in range(1, 7):
+    for cols in (*range(1, 7), QRT_COLUMNS, QRT_COLUMNS + 6):
         for order in ("C", "F"):
             for duplicate in (False, True):
                 A = np.array(rng.standard_normal((cols + 5, cols)), order=order)
@@ -227,6 +229,51 @@ def fallbacks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def kernels(monkeypatch):
+    """Names of the QR kernels that factored each fit, in call order."""
+    calls = []
+    for name in ("dgeqrf", "dgeqrt"):
+        def counting(*args, _real=getattr(solver, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
+def _kernel(cols):
+    return "dgeqrt" if cols >= QRT_COLUMNS else "dgeqrf"
+
+
+@pytest.mark.parametrize(
+    "cols", [1, 31, 32, 33, QRT_COLUMNS - 1, QRT_COLUMNS, QRT_COLUMNS + 1, 200]
+)
+def test_both_qr_paths_match_scipy_lstsq(kernels, cols):
+    # Gaussian matrices with twice as many rows as columns are well
+    # conditioned (cond_2 below about 6), so both kernels agree with gelsd.
+    rng = np.random.default_rng(100 + cols)
+    A = rng.standard_normal((2 * cols + 20, cols))
+    b = rng.standard_normal(2 * cols + 20)
+    x = solve_least_squares(A, b)
+    assert np.max(np.abs(x - scipy.linalg.lstsq(A, b)[0])) <= 1e-12
+    assert kernels == [_kernel(cols)]
+
+
+def test_assembled_fits_match_scipy_lstsq_on_both_sides_of_the_switch(kernels):
+    inner = (disk(-3 + 3j, 1.0), disk(3 + 3j, 1.0), slit(3 - 3j, 1 + 0.5j))
+    prob = Problem((disk(0, 8.0, role="outer"), *inner), "bounded", None, (0.0, 1.0, -1.0, 0.5))
+    widths = []
+    for degree in (8, 14):  # 68 and 116 columns
+        spec = default_spec(prob, degree=degree)
+        A, b = assemble_system(prob, spec, default_npts(spec))
+        x = solve_least_squares(A, b)
+        assert np.max(np.abs(x - scipy.linalg.lstsq(A, b)[0])) <= 1e-12
+        widths.append(A.shape[1])
+    assert widths[0] < QRT_COLUMNS <= widths[1]
+    assert kernels == ["dgeqrf", "dgeqrt"]
+
+
 def _rank_deficient_systems():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((30, 4))
@@ -238,13 +285,19 @@ def _rank_deficient_systems():
     # Unscaled disk columns grow like r^-k: rcond of R is about 5e-30.
     prob = green_problem([disk(2 + 1j, 0.2), slit(-2 - 1j, 1 + 0.5j)], source=0j)
     spec = default_spec(prob, degree=20, scaled=False)
-    yield assemble_system(prob, spec, default_npts(prob.components, spec))
+    yield assemble_system(prob, spec, default_npts(spec))
+    # Wide enough for dgeqrt, with one exactly dependent column.
+    A = rng.standard_normal((3 * QRT_COLUMNS, QRT_COLUMNS + 8))
+    A[:, -1] = A[:, 0] - A[:, 5]
+    yield A, rng.standard_normal(3 * QRT_COLUMNS)
 
 
-def test_fallback_matches_gelsy_on_the_full_matrix(fallbacks):
-    # dgelsy on R and (Q^T b)[:n] must give dgelsy's answer on A itself.
+def test_fallback_matches_gelsy_on_the_full_matrix(fallbacks, kernels):
+    # dgelsy on R and (Q^T b)[:n] must give dgelsy's answer on A itself,
+    # whichever kernel factored A.
     for k, (A, b) in enumerate(_rank_deficient_systems(), start=1):
         x = solve_least_squares(A, b)
+        assert kernels[-1] == _kernel(A.shape[1])
         want = scipy.linalg.lstsq(A, b, cond=RANK_TOL, lapack_driver="gelsy")[0]
         assert np.max(np.abs(x - want)) <= 1e-12
         assert abs(np.linalg.norm(A @ x - b) - np.linalg.norm(A @ want - b)) <= 1e-12
@@ -259,18 +312,26 @@ def test_fallback_stays_off_on_well_posed_fits(fallbacks, disk1, slit1, three_di
     assert fallbacks == []
 
 
-def test_log_sum_solve_factors_in_place():
-    # Counts bytes, times nothing: the solve allocates no copy of the matrix.
-    prob, spec = cantor_problem(5), cantor_spec(5)
-    A, b = assemble_system(prob, spec, default_npts(prob.components, spec))
-    nbytes = A.nbytes
-    tracemalloc.start()
-    try:
-        solve_with_log_sum(A, b, len(prob.components), -1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * nbytes
+def test_log_sum_solve_factors_in_place(kernels):
+    # Counts bytes, times nothing: the solve allocates no copy of the matrix,
+    # on either side of QRT_COLUMNS.  After the elimination the level-5 fit
+    # has 160 columns (dgeqrt) and the three-component one 63 (dgeqrf).
+    narrow = green_problem([disk(-3 + 3j, 1.0), disk(3 + 3j, 1.0), slit(3 - 3j, 1 + 0.5j)])
+    cases = (
+        (cantor_problem(5), cantor_spec(5), None),
+        (narrow, default_spec(narrow, degree=10), [800] * 3),
+    )
+    for prob, spec, npts in cases:
+        A, b = assemble_system(prob, spec, npts or default_npts(spec))
+        nbytes = A.nbytes
+        tracemalloc.start()
+        try:
+            solve_with_log_sum(A, b, len(prob.components), -1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * nbytes
+    assert kernels == ["dgeqrt", "dgeqrf"]
 
 
 def test_disk1_paper_digits():
