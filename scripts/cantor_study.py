@@ -2,7 +2,8 @@
 """Harmonic-measure study of middle-thirds approximations.
 
 Prints the per-slit measure tables, the inner-half sums (from the
-symmetry-reduced solve), and wall times for the general and symmetry-reduced
+symmetry-reduced solve) with the Aitken delta-squared estimate of their limit
+once three levels are in, and wall times for the general and symmetry-reduced
 solves, skipping general solves above MAX_GENERAL_LEVEL; optionally draws one
 level's field.
 """
@@ -34,11 +35,17 @@ def main():
         print(f"m={m}: " + ", ".join(f"{v:.6f}" for v in cantor_measures(m)))
 
     print("\ninner-half sums (measure of the right-half slits closest to 0):")
+    sums = []
     for m in range(2, args.max_level + 1):
         t0 = time.perf_counter()
-        s = cantor_inner_half_sum(m)
+        sums.append(cantor_inner_half_sum(m))
         dt = time.perf_counter() - t0
-        print(f"  m={m}: {s:.6f}   ({dt:.2f} s)")
+        print(f"  m={m}: {sums[-1]:.6f}   ({dt:.2f} s)")
+    if len(sums) >= 3:
+        # Aitken's delta-squared extrapolation of the last three sums.
+        s0, s1, s2 = sums[-3:]
+        limit = s2 - (s2 - s1) ** 2 / ((s2 - s1) - (s1 - s0))
+        print(f"  Aitken limit from m={args.max_level - 2}..{args.max_level}: {limit:.6f}")
 
     print("\nsymmetry-reduced vs general timing:")
     for m in range(2, args.max_level + 1):

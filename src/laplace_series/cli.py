@@ -383,8 +383,8 @@ def polylines_csv(polylines) -> str:
     for idx, poly in enumerate(polylines):
         if idx > 0:
             lines.append("")
-        for p in poly.points:
-            lines.append(f"{poly.kind},{poly.value:.13g},{p.real:.13g},{p.imag:.13g}")
+        prefix = f"{poly.kind},{poly.value:.13g},"
+        lines.extend(f"{prefix}{p.real:.13g},{p.imag:.13g}" for p in poly.points)
     return "\n".join(lines) + "\n"
 
 
@@ -409,7 +409,9 @@ def emit_svg(polylines, components, window) -> str:
     ]
     color = {EQUIPOTENTIAL: "#2060c0", STREAMLINE: "#c03020"}
     for poly in polylines:
-        coords = " L".join(f"{x:.3f} {y:.3f}" for x, y in (tx(p) for p in poly.points))
+        coords = " L".join(
+            f"{(p.real - x0) * scale:.3f} {(y1 - p.imag) * scale:.3f}" for p in poly.points
+        )
         parts.append(
             f'<path d="M{coords}" fill="none" stroke="{color.get(poly.kind, "#444444")}" '
             f'stroke-width="1"/>'

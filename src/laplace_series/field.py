@@ -5,10 +5,12 @@ Runge-Kutta pair and a small step cap; large steps near slits risk hopping
 over the slit and picking the wrong branch, so steps that would cross a slit
 are rejected outright.  All lines of a fan advance in lockstep, with one
 vectorized evaluation per stage for every live line; the last stage gives u
-and f' at the step end from one call.  Equipotentials come from
-marching squares on a masked grid rather than ODE tracing, which sidesteps
-branch bookkeeping when the topology changes.  Contour vertices are
-grid-edge crossings, each computed once, so joins are exact at any scale.
+and f' at the step end from one call.  A stage point where the field is
+undefined is found by the evaluator's DomainError, and only its own line is
+marked.  Equipotentials come from marching squares on a masked grid rather
+than ODE tracing, which sidesteps branch bookkeeping when the topology
+changes.  Contour vertices are grid-edge crossings, computed only for the
+edges of each level's chains, so joins are exact at any scale.
 """
 
 from __future__ import annotations
@@ -139,22 +141,21 @@ def _directions(exp, z, status, want_u=False):
     """Unit ascent directions conj(f')/|f'| at z for the lines whose status is
     _OK, and u there, from one evaluation (u is nan unless ``want_u``).
 
-    A point where the expansion is undefined marks its line _UNDEFINED and
-    |f'| < 1e-12 marks it _STAGNANT, so one line's failure leaves the others
-    running.  Lines that are not _OK get a zero direction and u = nan.
+    A point where the evaluator raises DomainError (the source, a disk
+    center, a point on a slit or within rounding of a slit endpoint) marks its
+    line _UNDEFINED and |f'| < 1e-12 marks it _STAGNANT, so one line's failure
+    leaves the others running.  Lines that are not _OK get a zero direction
+    and u = nan.
     """
     k = np.zeros(z.shape, dtype=complex)
     u = np.full(z.shape, np.nan)
     todo = np.flatnonzero(status == _OK)
-    bad = singular_mask(exp, z[todo])
-    status[todo[bad]] = _UNDEFINED
-    todo = todo[~bad]
     if todo.size == 0:
         return k, u
     try:
         ut, fp = _evaluate(exp, z[todo], want_u, True)
     except DomainError:
-        # f' is singular within rounding of a slit endpoint; single out those lines.
+        # Some point is singular; evaluate one by one to single out its lines.
         ut, fp = np.full(todo.size, np.nan), np.full(todo.size, np.nan, dtype=complex)
         for n, i in enumerate(todo):
             try:
@@ -319,25 +320,32 @@ def streamline_fan(solution: Solution, nseeds: int, eps: float, opts: TraceOptio
 # Marching-squares lookup: cell corners 0..3 are (i,j),(i+1,j),(i+1,j+1),(i,j+1);
 # edges 0..3 join corners (0,1),(1,2),(2,3),(3,0).  Entries map the 4-bit
 # "corner above level" code to the pair of crossed edges; the two saddle codes
-# are resolved by the cell-average rule at runtime.
+# are resolved by the cell-average rule, (below, above) the level.
 _MS_EDGES = {
-    1: [(3, 0)],
-    2: [(0, 1)],
-    3: [(3, 1)],
-    4: [(1, 2)],
-    6: [(0, 2)],
-    7: [(3, 2)],
-    8: [(2, 3)],
-    9: [(0, 2)],
-    11: [(1, 2)],
-    12: [(1, 3)],
-    13: [(0, 1)],
-    14: [(3, 0)],
+    1: (3, 0),
+    2: (0, 1),
+    3: (3, 1),
+    4: (1, 2),
+    6: (0, 2),
+    7: (3, 2),
+    8: (2, 3),
+    9: (0, 2),
+    11: (1, 2),
+    12: (1, 3),
+    13: (0, 1),
+    14: (3, 0),
 }
 _MS_SADDLE = {
     5: ([(3, 0), (1, 2)], [(0, 1), (2, 3)]),
     10: ([(0, 1), (2, 3)], [(3, 0), (1, 2)]),
 }
+# The same as one table: _MS_PAIRS[average above level, code] holds a cell's
+# two edge pairs, the second (-1, -1) unless the cell is a saddle.
+_MS_PAIRS = np.full((2, 16, 2, 2), -1)
+for _code, _pair in _MS_EDGES.items():
+    _MS_PAIRS[:, _code, 0] = _pair
+for _code, _pairs in _MS_SADDLE.items():
+    _MS_PAIRS[:, _code] = _pairs
 
 
 def _domain_mask(problem, Z):
@@ -371,8 +379,9 @@ def _slit_cell_mask(problem, window, grid_n):
 def extract_contours(solution: Solution, levels, window, grid_n: int):
     """Level polylines of u on a grid over the window, by marching squares.
 
-    Vertices are crossings of numbered grid edges, one per edge and level, so
-    the segments of neighbouring cells join by edge number, exactly at any scale.
+    Vertices are crossings of numbered grid edges, so the segments of
+    neighbouring cells join by edge number, exactly at any scale.  Crossings
+    are computed only for the edges of each level's chains.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -385,16 +394,19 @@ def extract_contours(solution: Solution, levels, window, grid_n: int):
     U = np.full(X.shape, np.nan)
     if mask.any():
         U[mask] = eval_expansion(solution.expansion, Z[mask])
-    cell_bad = _slit_cell_mask(solution.problem, window, grid_n)
+    cell_ok = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
+    cell_ok &= ~_slit_cell_mask(solution.problem, window, grid_n)
 
     out = []
-    corner_ok = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
     for level in levels:
         level = float(level)
-        crossings = _edge_crossings(U, xs, ys, level)
-        segments = _cells_to_segments(U, level, corner_ok & ~cell_bad)
-        for chain, closed in _chain_segments(segments):
-            points = crossings[chain]
+        chains = list(_chain_segments(_cells_to_segments(U, level, cell_ok)))
+        if not chains:
+            continue
+        edges = np.concatenate([chain for chain, _ in chains])
+        starts = np.cumsum([len(chain) for chain, _ in chains[:-1]])
+        crossings = np.split(_edge_crossings(U, xs, ys, level, edges), starts)
+        for (_, closed), points in zip(chains, crossings):
             # A level through a grid node meets two edges of a cell at that node.
             points = points[np.r_[True, points[1:] != points[:-1]]]
             if len(points) < 2:
@@ -410,79 +422,85 @@ def extract_contours(solution: Solution, levels, window, grid_n: int):
     return out
 
 
-def _edge_crossings(U, xs, ys, level):
-    """The level's crossing of every grid edge, indexed by edge number.
+def _edge_crossings(U, xs, ys, level, edges):
+    """The level's crossing of each numbered grid edge in ``edges``.
 
-    Interpolation starts from the edge end whose value is nearer the level, so
-    a level through a grid node gives the node exactly.  Entries for edges the
-    level does not cross are meaningless.
+    Edge numbers run over the horizontal edges row by row, then the vertical
+    ones.  Interpolation starts from the edge end whose value is nearer the
+    level, so a level through a grid node gives the node exactly.  Every
+    edge must be crossed by the level.
     """
-
-    def cross(p, q, a, b):
-        from_p = np.abs(level - a) <= np.abs(level - b)
-        return np.where(from_p, p + (level - a) / (b - a) * (q - p), q + (level - b) / (a - b) * (p - q))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = cross(xs[:-1], xs[1:], U[:, :-1], U[:, 1:])
-        y = cross(ys[:-1, None], ys[1:, None], U[:-1], U[1:])
-        return np.concatenate([(x + 1j * ys[:, None]).ravel(), (xs + 1j * y).ravel()])
+    rows, n = U.shape
+    horizontal = edges < rows * (n - 1)
+    j, i = np.where(horizontal, np.divmod(edges, n - 1), np.divmod(edges - rows * (n - 1), n))
+    a, b = U[j, i], U[j + ~horizontal, i + horizontal]
+    # The edge's ends along its own axis: xs[i], xs[i+1] or ys[j], ys[j+1].
+    axis = np.concatenate([xs, ys])
+    k = np.where(horizontal, i, n + j)
+    p, q = axis[k], axis[k + 1]
+    from_p = np.abs(level - a) <= np.abs(level - b)
+    t = np.where(from_p, p + (level - a) / (b - a) * (q - p), q + (level - b) / (a - b) * (p - q))
+    return np.where(horizontal, t, xs[i]) + 1j * np.where(horizontal, ys[j], t)
 
 
 def _cells_to_segments(U, level, cell_ok):
-    """Marching-squares segments, as pairs of the edge numbers they join."""
+    """Marching-squares segments, as rows of the two edge numbers they join.
+
+    Cells come row-major, and a saddle cell gives its two segments in
+    _MS_SADDLE order.
+    """
     rows, n = U.shape
-    corners_val = (U[:-1, :-1], U[:-1, 1:], U[1:, 1:], U[1:, :-1])
-    above = [v > level for v in corners_val]
-    code = above[0] * 1 + above[1] * 2 + above[2] * 4 + above[3] * 8
-    active = cell_ok & (code > 0) & (code < 15)
-    jj, ii = np.nonzero(active)
-    segments = []
-    for j, i, c in zip(jj.tolist(), ii.tolist(), code[active].tolist()):
-        # Numbers of the cell's edges 0..3: bottom, right, top, left.
-        h = j * (n - 1) + i
-        v = rows * (n - 1) + j * n + i
-        edge_number = (h, v + 1, h + n - 1, v)
-        if c in _MS_SADDLE:
-            lo, hi = _MS_SADDLE[c]
-            vals = (U[j, i], U[j, i + 1], U[j + 1, i + 1], U[j + 1, i])
-            edges = hi if (sum(vals) / 4.0) > level else lo
-        else:
-            edges = _MS_EDGES[c]
-        segments.extend((edge_number[e1], edge_number[e2]) for e1, e2 in edges)
-    return segments
+    above = (U > level).view(np.uint8)
+    code = above[:-1, :-1] | above[:-1, 1:] << 1 | above[1:, 1:] << 2 | above[1:, :-1] << 3
+    jj, ii = np.nonzero(cell_ok & (code > 0) & (code < 15))
+    code = code[jj, ii]
+    avg_above = np.zeros(code.shape, dtype=np.intp)
+    saddle = np.flatnonzero((code == 5) | (code == 10))
+    j, i = jj[saddle], ii[saddle]
+    avg_above[saddle] = (U[j, i] + U[j, i + 1] + U[j + 1, i + 1] + U[j + 1, i]) / 4.0 > level
+    pairs = _MS_PAIRS[avg_above, code].reshape(-1, 4)
+    # Numbers of each cell's edges 0..3: bottom, right, top, left.
+    h = jj * (n - 1) + ii
+    v = rows * (n - 1) + jj * n + ii
+    numbers = np.stack([h, v + 1, h + n - 1, v], axis=1)
+    segments = np.take_along_axis(numbers, pairs, axis=1).reshape(-1, 2)
+    return segments[pairs.reshape(-1, 2)[:, 0] >= 0]
 
 
 def _chain_segments(segments):
     """Join segments that share an edge into (edge numbers, closed) chains.
 
-    A closed chain ends on its first edge.  An edge borders two cells, so at
-    most two segments meet at it.
+    ``segments`` holds one row of two edge numbers per segment; slot 2 s + e
+    is end e of segment s.  An edge borders two cells, so at most two slots
+    meet at it, and each slot has at most one partner.  A closed chain ends
+    on its first edge.
     """
-    links: dict = {}
-    for idx, (a, b) in enumerate(segments):
-        links.setdefault(a, []).append((idx, 0))
-        links.setdefault(b, []).append((idx, 1))
-    used = [False] * len(segments)
+    ends = segments.ravel()
+    order = np.argsort(ends)
+    shared = np.flatnonzero(ends[order[1:]] == ends[order[:-1]])
+    partner = np.full(ends.size, -1)
+    partner[order[shared]] = order[shared + 1]
+    partner[order[shared + 1]] = order[shared]
+    ends, partner = ends.tolist(), partner.tolist()
+    used = [False] * (len(ends) // 2)
 
-    def walk(idx, end):
-        # The edges met walking out of segment idx through its `end` edge, that one first.
+    def walk(slot):
+        # The edges met walking out of a segment through `slot`, that one first.
         chain = []
         while True:
-            edge = segments[idx][end]
-            chain.append(edge)
-            candidates = [(i, e) for (i, e) in links[edge] if not used[i]]
-            if not candidates:
+            chain.append(ends[slot])
+            slot = partner[slot]
+            if slot < 0 or used[slot >> 1]:
                 return chain
-            idx, e = candidates[0]
-            used[idx] = True
-            end = 1 - e
+            used[slot >> 1] = True
+            slot ^= 1
 
-    for idx in range(len(segments)):
+    for idx in range(len(used)):
         if used[idx]:
             continue
         used[idx] = True
-        fwd = walk(idx, 1)
-        chain = walk(idx, 0)[::-1] + fwd
+        fwd = walk(2 * idx + 1)
+        chain = walk(2 * idx)[::-1] + fwd
         yield chain, chain[0] == chain[-1]
 
 

@@ -172,13 +172,16 @@ def segment_distance(a: complex, b: complex, z) -> float:
     d = np.abs(a + t * ab - np.asarray(z, dtype=complex))
     return float(d) if np.isscalar(z) else d
 
+
 def segments_cross(a1, a2, b1, b2):
     """True where the closed segments [a1,a2] and [b1,b2] intersect.
 
     Endpoints may be numpy arrays, so a batch of steps can be tested against
-    one slit at once.  Only operators that numbers and arrays share are used,
-    which keeps the scalar case in plain Python arithmetic (it runs once per
-    pair of components when a problem is validated).
+    one slit at once.  Apart from the np.any that decides whether any
+    orientation is exactly 0, so that the collinear tests are needed at all,
+    only operators that numbers and arrays share are used.  That keeps the
+    scalar case in plain Python arithmetic (it runs once per pair of
+    components when a problem is validated).
     """
 
     def orient(p, q, r):
@@ -189,6 +192,9 @@ def segments_cross(a1, a2, b1, b2):
     d2 = orient(b1, b2, a2)
     d3 = orient(a1, a2, b1)
     d4 = orient(a1, a2, b2)
+    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+    if not np.any((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0) | (d4 == 0.0)):
+        return proper
 
     def between(p, q, r):
         # min(p, q) <= r <= max(p, q): p and q are neither both above nor both below r.
@@ -199,7 +205,7 @@ def segments_cross(a1, a2, b1, b2):
         return (d == 0.0) & between(p.real, q.real, r.real) & between(p.imag, q.imag, r.imag)
 
     return (
-        ((d1 * d2 < 0) & (d3 * d4 < 0))
+        proper
         | on_seg(d1, b1, b2, a1) | on_seg(d2, b1, b2, a2)
         | on_seg(d3, a1, a2, b1) | on_seg(d4, a1, a2, b2)
     )

@@ -200,6 +200,27 @@ def test_stage_failures_stay_on_their_line():
     assert np.all(k[[0, 2, 3]] == 0)
 
 
+@pytest.mark.parametrize("scaled", [False, True])
+def test_stage_at_a_disk_center_stays_on_its_line(scaled):
+    # With a disk, a slit and a source, a stage point at each of the three
+    # kinds of singular point marks only its own line, for both disk scalings.
+    exp = Expansion(
+        components=(disk(2.0 + 1j, 0.5), slit(-2.0, 1j)),
+        spec=ExpansionSpec(degrees=(2, 2), scaled=scaled),
+        vector=[0.0, -0.5, -0.5, 0.1, 0.0, 0.0, 0.05, 0.2, 0.0, 0.0, 0.1],
+        source=0j, source_strength=1.0,
+    )
+    z = np.array([2.0 + 1j, 0.5 + 0.5j, -2.0 + 0.5j, 0j, 1.0 - 2j, 2.0 + 1j])
+    status = np.zeros(z.size, dtype=np.int8)
+    k, u = _directions(exp, z, status, want_u=True)
+    assert status.tolist() == [_UNDEFINED, _OK, _UNDEFINED, _UNDEFINED, _OK, _UNDEFINED]
+    g = eval_gradient(exp, z[[1, 4]])
+    assert np.allclose(k[[1, 4]], g / np.abs(g), rtol=0, atol=1e-15)
+    assert np.allclose(u[[1, 4]], eval_expansion(exp, z[[1, 4]]), rtol=0, atol=1e-15)
+    assert np.all(k[[0, 2, 3, 5]] == 0)
+    assert np.all(np.isnan(u[[0, 2, 3, 5]]))
+
+
 def test_fan_fraction_matches_measure(disk1):
     opts = TraceOptions(window=(-700, 700, -700, 700))
     fan = streamline_fan(disk1, 64, 0.01, opts)
@@ -246,6 +267,109 @@ def test_contour_through_grid_node(pure_source):
     assert len(pts) == 101
     assert np.all(pts[1:] != pts[:-1])
     assert np.count_nonzero(pts == 1.0) == 1
+
+
+def _grid_values(solution, window, grid_n):
+    """The grid extract_contours samples, u on it (nan off the domain), and the
+    cells marching squares may use."""
+    x0, x1, y0, y1 = window
+    xs, ys = np.linspace(x0, x1, grid_n), np.linspace(y0, y1, grid_n)
+    X, Y = np.meshgrid(xs, ys)
+    Z = X + 1j * Y
+    mask = _domain_mask(solution.problem, Z)
+    U = np.full(Z.shape, np.nan)
+    U[mask] = eval_expansion(solution.expansion, Z[mask])
+    cell_ok = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
+    return xs, ys, U, cell_ok & ~field._slit_cell_mask(solution.problem, window, grid_n)
+
+
+def _all_edge_crossings(U, xs, ys, level):
+    """The level's crossing of every grid edge, by edge number: the horizontal
+    edges row by row, then the vertical ones, each interpolated from its end
+    nearer the level (meaningless where the level does not cross)."""
+
+    def cross(p, q, a, b):
+        from_p = np.abs(level - a) <= np.abs(level - b)
+        return np.where(from_p, p + (level - a) / (b - a) * (q - p), q + (level - b) / (a - b) * (p - q))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = cross(xs[:-1], xs[1:], U[:, :-1], U[:, 1:])
+        y = cross(ys[:-1, None], ys[1:, None], U[:-1], U[1:])
+        return np.concatenate([(x + 1j * ys[:, None]).ravel(), (xs + 1j * y).ravel()])
+
+
+def _cell_loop_segments(U, level, cell_ok):
+    """Marching-squares segments by a loop over the cells, row-major."""
+    rows, n = U.shape
+    vals = U.tolist()
+    segments = []
+    for j, i in zip(*(ax.tolist() for ax in np.nonzero(cell_ok))):
+        corners = (vals[j][i], vals[j][i + 1], vals[j + 1][i + 1], vals[j + 1][i])
+        code = sum(1 << c for c, v in enumerate(corners) if v > level)
+        if code in (0, 15):
+            continue
+        if code in field._MS_SADDLE:
+            below, above = field._MS_SADDLE[code]
+            pairs = above if sum(corners) / 4.0 > level else below
+        else:
+            pairs = [field._MS_EDGES[code]]
+        h = j * (n - 1) + i
+        v = rows * (n - 1) + j * n + i
+        number = (h, v + 1, h + n - 1, v)
+        segments.extend([number[e1], number[e2]] for e1, e2 in pairs)
+    return segments
+
+
+@pytest.mark.parametrize("grid_n", [60, 240])
+@pytest.mark.parametrize("name", ["disk1", "slit1"])
+def test_contour_vertices_are_edge_crossings(request, name, grid_n):
+    # Each vertex equals (==) the all-edges crossing formula at its edge, and
+    # the segments come in the order of a plain loop over the cells.  One
+    # level runs through a grid node, which must appear as a vertex.
+    sol = request.getfixturevalue(name)
+    window = default_window(sol.problem)
+    xs, ys, U, cell_ok = _grid_values(sol, window, grid_n)
+    j, i = grid_n // 3, grid_n // 4
+    assert np.isfinite(U[j, i])
+    node_level = float(U[j, i])
+    levels = [-0.3, -0.2, -0.1, node_level]
+    polys = extract_contours(sol, levels, window, grid_n)
+    for level in levels:
+        segments = field._cells_to_segments(U, level, cell_ok)
+        assert segments.tolist() == _cell_loop_segments(U, level, cell_ok)
+        crossings = _all_edge_crossings(U, xs, ys, level)
+        want = []
+        for chain, closed in field._chain_segments(segments):
+            pts = crossings[chain]
+            pts = pts[np.r_[True, pts[1:] != pts[:-1]]]
+            if len(pts) >= 2:
+                want.append((tuple(pts.tolist()), None if closed else LEFT_WINDOW))
+        got = [(p.points, p.termination) for p in polys if p.value == level]
+        assert got == want
+        assert got
+    node = complex(xs[i], ys[j])
+    assert any(node in p.points for p in polys if p.value == node_level)
+
+
+@pytest.mark.parametrize("code", [5, 10])
+@pytest.mark.parametrize("above", [False, True])
+def test_saddle_cells_follow_the_table(code, above):
+    # A 2x3 grid: the left cell is a saddle whose average lies above or below
+    # the level 0.5, the right cell crosses once.  Corners 0..3 of the left
+    # cell are U[0,0], U[0,1], U[1,1], U[1,0].
+    hi, lo = (1.0, 0.2) if above else (0.9, 0.0)
+    first = [hi, lo, hi, lo] if code == 5 else [lo, hi, lo, hi]
+    U = np.array([[first[0], first[1], 1.0], [first[3], first[2], 1.0]])
+    cell_ok = np.ones((1, 2), dtype=bool)
+    assert (sum(first) / 4.0 > 0.5) == above
+    segments = field._cells_to_segments(U, 0.5, cell_ok).tolist()
+    # Edge numbers of the left cell's bottom, right, top and left edges.
+    number = (0, 5, 2, 4)
+    pairs = field._MS_SADDLE[code][above]
+    want = [[number[e1], number[e2]] for e1, e2 in pairs]
+    assert segments[:2] == want
+    assert segments == _cell_loop_segments(U, 0.5, cell_ok)
+    assert len(segments) == 3
 
 
 def test_contours_empty_cases(pure_source):

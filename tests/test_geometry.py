@@ -213,6 +213,34 @@ def test_segments_cross():
     assert segments_cross(0, 1, 0.5 + 0j, 2 + 0j)  # collinear overlap
 
 
+def test_segments_cross_on_arrays_matches_scalar_calls():
+    # Segments against the slit [0, 2], as the tracer tests a batch of steps.
+    cases = [
+        (1 - 1j, 1 + 1j, True),  # proper crossing
+        (0.5 - 1j, 1.5 + 2j, True),  # proper crossing, slanted
+        (1 + 0j, 1 + 1j, True),  # an endpoint on the slit
+        (2 + 0j, 3 + 1j, True),  # touches the slit's end
+        (-1j, 1j, True),  # passes through the slit's end
+        (1 + 0j, 3 + 0j, True),  # collinear, overlapping
+        (-1 + 0j, 0j, True),  # collinear, end to end
+        (3 + 0j, 4 + 0j, False),  # collinear, disjoint
+        (-2 + 0j, -1 + 0j, False),  # collinear, disjoint
+        (3 + 0j, 3 + 1j, False),  # starts on the slit's line, off the slit
+        (1j, 2 + 1j, False),  # parallel, not collinear
+        (3 - 1j, 3 + 1j, False),  # a miss
+    ]
+    a1, a2, want = (np.array(col) for col in zip(*cases))
+    got = segments_cross(a1, a2, 0j, 2 + 0j)
+    assert got.tolist() == want.tolist()
+    assert got.tolist() == [segments_cross(p, q, 0j, 2 + 0j) for p, q, _ in cases]
+    # The slit as arrays, in the first two places.
+    b1, b2 = np.zeros(len(cases), dtype=complex), np.full(len(cases), 2 + 0j)
+    assert segments_cross(b1, b2, a1, a2).tolist() == want.tolist()
+    # A batch where no orientation is exactly 0 skips the collinear tests.
+    some = [0, 1, 11]
+    assert segments_cross(a1[some], a2[some], 0j, 2 + 0j).tolist() == [True, True, False]
+
+
 @pytest.mark.parametrize("step", [0.5, None])
 def test_first_overlap_matches_pairwise_loop(step):
     # The bounding-box screen must not change which pair is found: compare

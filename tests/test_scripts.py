@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from laplace_series import cantor_inner_half_sum
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SCRIPTS = [
@@ -17,8 +19,8 @@ SCRIPTS = [
 ]
 
 
-@pytest.mark.parametrize("script,extra,output", SCRIPTS, ids=[s[0] for s in SCRIPTS])
-def test_script_runs(tmp_path, script, extra, output):
+def _run(script, tmp_path, *extra):
+    """Run a demo script with its output directory in tmp_path; stdout on success."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -29,5 +31,21 @@ def test_script_runs(tmp_path, script, extra, output):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script,extra,output", SCRIPTS, ids=[s[0] for s in SCRIPTS])
+def test_script_runs(tmp_path, script, extra, output):
+    _run(script, tmp_path, *extra)
     svg = (tmp_path / output).read_text()
     assert svg.startswith("<svg") and "<path" in svg
+
+
+def test_cantor_study_prints_aitken_limit(tmp_path):
+    stdout = _run("cantor_study.py", tmp_path, "--max-level", "4")
+    s0, s1, s2 = (cantor_inner_half_sum(m) for m in (2, 3, 4))
+    limit = s2 - (s2 - s1) ** 2 / ((s2 - s1) - (s1 - s0))
+    assert f"Aitken limit from m=2..4: {limit:.6f}" in [line.strip() for line in stdout.splitlines()]
+    # The sums settle near 0.362005 (Aitken over m = 6..8); three coarse
+    # levels already land within 1e-4 of it.
+    assert abs(limit - 0.362005) < 1e-4
