@@ -260,65 +260,152 @@ def singular_mask(exp: Expansion, z) -> np.ndarray:
     return bad
 
 
+def _series_table(blocks, want_u, want_fp):
+    """The coefficients of _evaluate's series as an (n, rows, blocks) table,
+    entry k the coefficient of t^k: row 0 holds each block's c_k for u if
+    asked, the last row its k c_k for f' if asked, zero past the block's
+    degree (n >= 1 even when every block is empty)."""
+    c = np.zeros((max([1] + [b.size for b in blocks]), want_u + want_fp, len(blocks)),
+                 dtype=complex)
+    for s, b in enumerate(blocks):
+        conj = b.conj()
+        if want_u:
+            c[: b.size, 0, s] = conj
+        if want_fp:
+            c[: b.size, -1, s] = np.arange(1, b.size + 1) * conj
+    return c
+
+
+# Above this many table entries times points, _horner adds each step's
+# coefficients as a broadcast column instead of a spread-out array.
+_SPREAD_ENTRIES = 1 << 16
+
+
 def _horner(coeffs, t):
-    """sum_i coeffs[i] t^i by Horner's rule (0.0 for no coefficients)."""
-    if not coeffs.size:
-        return 0.0
-    acc = np.full(t.shape, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc *= t
-        acc += c
-    return acc
+    """h = sum_k coeffs[k] t^k by Horner's rule, for every series at once.
+
+    ``coeffs`` is (n, ...), n >= 1, entry k holding the coefficient of t^k
+    of each series, zero past the series' own degree; ``t`` is (...,
+    points), one row of points per series.  A zero-padded series runs
+    0 * t + 0 up to its top coefficient, so it takes the steps a loop over
+    that series alone takes.  Each step is two in-place numpy calls over
+    every series; on small inputs each step's coefficients are first spread
+    to the shape of t, so both calls take numpy's fast path for like-shaped
+    arrays.  numpy multiplies a one-element array in place by its plain
+    scalar loop, and longer ones by a fused multiply-add loop, so a single
+    point runs in Python complex arithmetic, which rounds like the scalar
+    loop: every series is bit for bit what the one-series loop over the same
+    points gives.
+    """
+    n, points = coeffs.shape[0], t.shape[-1]
+    if points == 1:
+        h = []
+        for row, x in zip(coeffs.reshape(n, -1).T.tolist(), t.ravel().tolist()):
+            acc = row[-1]
+            for c in row[-2::-1]:
+                acc = acc * x + c
+            h.append(acc)
+        return np.array(h, dtype=complex).reshape(t.shape)
+    steps = coeffs[..., None]
+    if coeffs.size * points <= _SPREAD_ENTRIES:
+        steps = np.repeat(steps, points, axis=-1)
+    h = np.empty(t.shape, dtype=complex)
+    h[...] = steps[-1]
+    for k in range(n - 2, -1, -1):
+        h *= t
+        h += steps[k]
+    return h
+
+
+# Longer inputs are evaluated in near-equal chunks of at most this many
+# points, so the stacked series arrays of one call stay a few MB.
+_CHUNK_POINTS = 8192
 
 
 def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
     """(u, f') at z, each None unless asked for; a scalar z gives Python scalars.
 
-    The analytic completion f has u = Re f and grad u = conj f'.  Block j
-    adds d_j (log|zeta| + offset) + Re sum_k c_jk zeta^-k to u and
-    (d_j - sum_k k c_jk zeta^-k) zeta'/zeta to f', with c_jk = a_jk - i b_jk
-    the conjugate of the expansion's block view; both sums run by Horner's
-    rule in 1/zeta, so no basis matrix is built and each slit is mapped once
-    per call.
+    The analytic completion f has u = Re f and grad u = conj f'.  Inner
+    block j adds d_j (log|zeta| + offset) + Re sum_k c_jk t^k to u and
+    (d_j - sum_k k c_jk t^k) zeta'/zeta to f', with t = 1/zeta and c_jk =
+    a_jk - i b_jk the conjugate of the expansion's block view; the outer
+    block adds Re sum_k c_k t^k and sum_k k c_k t^(k-1) / r_0 with t = T_0.
+    The series of every block, for u and for f' as asked, are the rows of
+    one coefficient table, zero-padded to the largest degree, and one
+    Horner loop sums them all (_horner).  No basis matrix is built, each
+    slit is mapped once per chunk of points, and the terms are added block
+    by block in column order.  Every step acts on each point alone, so
+    chunking changes no value.
     """
-    scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    za = np.asarray(z, dtype=complex)
+    flat = za.reshape(-1)
+    chunks = -(-flat.size // _CHUNK_POINTS)
+    if chunks <= 1:
+        u, fp = _evaluate_flat(exp, flat, want_u, want_fp)
+    else:
+        parts = [_evaluate_flat(exp, part, want_u, want_fp)
+                 for part in np.array_split(flat, chunks)]
+        u = np.concatenate([p[0] for p in parts]) if want_u else None
+        fp = np.concatenate([p[1] for p in parts]) if want_fp else None
+    if za.ndim == 0:
+        return (None if u is None else float(u[0]), None if fp is None else complex(fp[0]))
+    return (None if u is None else u.reshape(za.shape),
+            None if fp is None else fp.reshape(za.shape))
+
+
+def _evaluate_flat(exp: Expansion, z, want_u, want_fp):
+    """_evaluate on a 1-D array of points: (u, f') as arrays or None."""
     u = np.full(z.shape, exp.constant) if want_u else None
-    fp = np.zeros_like(z) if want_fp else None
+    fp = np.zeros(z.shape, dtype=complex) if want_fp else None
     if exp.source_strength != 0.0:
-        if np.any(z == exp.source):
+        if (z == exp.source).any():
             raise DomainError("the field is unbounded at the source point")
+        zs = z - exp.source
         if want_u:
-            u += exp.source_strength * np.log(np.abs(z - exp.source))
+            u += exp.source_strength * np.log(np.abs(zs))
         if want_fp:
-            fp += exp.source_strength / (z - exp.source)
+            fp += exp.source_strength / zs
+    inner, outer = exp.blocks[:-1], exp.blocks[-1]
+    blocks = exp.blocks if outer.size else inner
+    # t[q, s] is the series variable of block s (1/zeta, or T_0 last) for
+    # each row q of the coefficient table.
+    t = np.empty((want_u + want_fp, len(blocks), z.size), dtype=complex)
+    logs, dlogs = [], []
     for slot, j, zeta, offset in _local_coordinates(z, exp.components, exp.spec):
-        comp, d, c = exp.components[j], exp.log_coeffs[slot], exp.blocks[slot].conj()
-        if comp.kind == DISK and np.any(zeta == 0):
+        comp = exp.components[j]
+        if comp.kind == DISK and (zeta == 0).any():
             raise DomainError("expansion is singular at a component center")
-        t = 1.0 / zeta
+        ts = np.divide(1.0, zeta, out=t[0, slot])
         if want_u:
-            u += d * (np.log(np.abs(zeta)) + offset) + (t * _horner(c, t)).real
+            logs.append(exp.log_coeffs[slot] * (np.log(np.abs(zeta)) + offset))
         if want_fp:
             if comp.kind == DISK:
-                dlog = 1.0 / (z - comp.center)
+                dlogs.append(1.0 / (z - comp.center))
             else:
-                denom = 1.0 - t * t
-                if np.any(np.abs(denom) < 1e-13):
+                denom = 1.0 - ts * ts
+                if (np.abs(denom) < 1e-13).any():
                     raise DomainError("derivative is singular at a slit endpoint")
-                dlog = 2.0 / (comp.halfspan * denom * zeta)
-            fp += (d - t * _horner(np.arange(1, c.size + 1) * c, t)) * dlog
-    if exp.blocks[-1].size:
+                dlogs.append(2.0 / (comp.halfspan * denom * zeta))
+    if outer.size:
         out = exp.components[outer_index(exp.components)]
-        c = exp.blocks[-1].conj()
-        t = (z - out.center) / out.radius
+        np.divide(z - out.center, out.radius, out=t[0, -1])
+    if want_u and want_fp:
+        t[1] = t[0]
+    h = _horner(_series_table(blocks, want_u, want_fp), t)
+    # t * h, in this order: a complex product rounds differently with its
+    # factors swapped.
+    th = t * h
+    for slot in range(len(inner)):
         if want_u:
-            u += (t * _horner(c, t)).real
+            u += logs[slot] + th[0, slot].real
+        if want_fp:
+            fp += (exp.log_coeffs[slot] - th[-1, slot]) * dlogs[slot]
+    if outer.size:
+        if want_u:
+            u += th[0, -1].real
         if want_fp:
             # d/dz t^k = k t^(k-1) / r_0
-            fp += _horner(np.arange(1, c.size + 1) * c, t) / out.radius
-    if scalar:
-        return (None if u is None else float(u[0]), None if fp is None else complex(fp[0]))
+            fp += h[-1, -1] / out.radius
     return u, fp
 
 

@@ -98,22 +98,41 @@ def _in_window(window, z):
 def _near_component(problem, z, delta: float):
     """Index of the first component whose boundary is within delta of each z, else -1.
 
-    Slits get a second proximity test through the preimage: the angle-plane
-    coordinate log|w| vanishes on the slit and scales like distance/|halfspan|,
-    so it catches approaches that Euclidean distance underestimates near the
-    endpoints.
+    Slits get a second proximity test through the preimage w: the
+    angle-plane coordinate log|w| vanishes on the slit and scales like
+    distance/|h| (h the halfspan), so the test log|w| < rho = delta/|h|
+    catches approaches that Euclidean distance underestimates near the
+    endpoints.  The map runs only where that test can pass.  With
+    w = e^(r + i theta), z - c = h cosh(r + i theta), so log|w| < rho is the
+    inside of the ellipse with semi-axes |h| cosh rho and |h| sinh rho about
+    the slit, and none of it is farther than |h| sinh rho from the slit: a
+    point of the ellipse with |cos theta| cosh rho > 1 lies past an endpoint
+    at a squared distance (|h| (cosh rho |cos theta| - 1))^2 +
+    (|h| sinh rho sin theta)^2, which is at most (|h| sinh rho)^2 because
+    cosh rho - sinh rho = e^-rho <= 1.  A point farther than
+    |h| sinh(rho) (1 + 1e-6) from the slit is therefore outside the ellipse
+    of asinh(sinh(rho) (1 + 1e-6)), about rho + 1e-6 tanh rho, a margin in
+    log|w| some 10^9 ulps wide for small rho and never below 10^6 ulps of
+    rho, far beyond the rounding of the map and of the distance, so
+    skipping it changes no answer.
     """
     near = np.full(z.shape, -1)
-    for j, comp in enumerate(problem.components):
-        free = np.flatnonzero(near < 0)
-        zf = z[free]
-        hit = boundary_distance(comp, zf) < delta
+    # Later components go first, so each point keeps the first one's index.
+    for j in reversed(range(len(problem.components))):
+        comp = problem.components[j]
+        dist = boundary_distance(comp, z)
+        hit = dist < delta
         if comp.kind == SLIT:
-            hit |= in_hole(comp, zf)
-            rest = ~hit
-            w = joukowski_inverse(comp.center, comp.halfspan, zf[rest])
-            hit[rest] = np.log(np.abs(w)) < delta / abs(comp.halfspan)
-        near[free[hit]] = j
+            hit |= in_hole(comp, z)
+            span = abs(comp.halfspan)
+            rho = delta / span
+            # (math.sinh overflows past 710.)
+            reach = span * math.sinh(rho) * (1.0 + 1e-6) if rho < 700.0 else math.inf
+            inside = np.flatnonzero(~hit & (dist <= reach))
+            if inside.size:
+                w = joukowski_inverse(comp.center, comp.halfspan, z[inside])
+                hit[inside] = np.log(np.abs(w)) < rho
+        near[hit] = j
     return near
 
 
@@ -127,9 +146,10 @@ def _crossed_boundary(problem, a, b):
     the proximity stop takes over.
     """
     crossed = np.full(b.shape, -1)
-    for j, comp in enumerate(problem.components):
-        hit = segments_cross(a, b, *comp.endpoints) if comp.kind == SLIT else in_hole(comp, b)
-        crossed[(crossed < 0) & hit] = j
+    # Later components go first, so each step keeps the first one's index.
+    for j in reversed(range(len(problem.components))):
+        comp = problem.components[j]
+        crossed[segments_cross(a, b, *comp.endpoints) if comp.kind == SLIT else in_hole(comp, b)] = j
     return crossed
 
 
@@ -139,7 +159,7 @@ _OK, _UNDEFINED, _STAGNANT = 0, 1, 2
 
 def _directions(exp, z, status, want_u=False):
     """Unit ascent directions conj(f')/|f'| at z for the lines whose status is
-    _OK, and u there, from one evaluation (u is nan unless ``want_u``).
+    _OK, and u there if ``want_u`` (else None), from one evaluation.
 
     A point where the evaluator raises DomainError (the source, a disk
     center, a point on a slit or within rounding of a slit endpoint) marks its
@@ -147,29 +167,37 @@ def _directions(exp, z, status, want_u=False):
     leaves the others running.  Lines that are not _OK get a zero direction
     and u = nan.
     """
-    k = np.zeros(z.shape, dtype=complex)
-    u = np.full(z.shape, np.nan)
-    todo = np.flatnonzero(status == _OK)
-    if todo.size == 0:
-        return k, u
+    ok = status == _OK
+    todo = None if ok.all() else np.flatnonzero(ok)
+    zt = z if todo is None else z[todo]
+    if zt.size == 0:
+        return np.zeros(z.shape, dtype=complex), np.full(z.shape, np.nan) if want_u else None
     try:
-        ut, fp = _evaluate(exp, z[todo], want_u, True)
+        ut, fp = _evaluate(exp, zt, want_u, True)
     except DomainError:
         # Some point is singular; evaluate one by one to single out its lines.
-        ut, fp = np.full(todo.size, np.nan), np.full(todo.size, np.nan, dtype=complex)
-        for n, i in enumerate(todo):
+        ut, fp = np.full(zt.size, np.nan), np.full(zt.size, np.nan, dtype=complex)
+        for n, p in enumerate(zt.tolist()):
             try:
-                ut[n], fp[n] = _evaluate(exp, z[i], True, True)
+                ut[n], fp[n] = _evaluate(exp, p, True, True)
             except DomainError:
                 pass
+        todo = np.flatnonzero(ok)
         status[todo[np.isnan(fp)]] = _UNDEFINED
     mag = np.abs(fp)
-    status[todo[mag < 1e-12]] = _STAGNANT
     good = mag >= 1e-12
-    k[todo[good]] = np.conj(fp[good]) / mag[good]
+    if todo is None and good.all():
+        return np.conj(fp) / mag, ut
+    todo = np.flatnonzero(ok)
+    status[todo[mag < 1e-12]] = _STAGNANT
+    todo = todo[good]
+    k = np.zeros(z.shape, dtype=complex)
+    k[todo] = np.conj(fp[good]) / mag[good]
     if want_u:
-        u[todo[good]] = ut[good]
-    return k, u
+        u = np.full(z.shape, np.nan)
+        u[todo] = ut[good]
+        return k, u
+    return k, None
 
 
 def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polyline]:
@@ -181,7 +209,9 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     when the embedded error estimate passes, u strictly increases, and the
     step does not jump across a boundary; rejected steps shrink and are
     counted per line.  Lines stop independently at a boundary, at the window
-    edge, or at the step cap.
+    edge, or at the step cap.  The state arrays hold the live lines only, in
+    seed order, and are compacted after a pass that stops some; a pass where
+    every step is accepted skips the rejection bookkeeping.
     """
     problem = solution.problem
     exp = solution.expansion
@@ -190,7 +220,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     tol, h_min = opts.step_tol, opts.h_min
     z = np.array(seeds, dtype=complex)
     outside = (first_hole(problem.components, z) >= 0) | ~_in_window(window, z)
-    if np.any(outside | singular_mask(exp, z)):
+    if (outside | singular_mask(exp, z)).any():
         raise ValueError("streamline seed lies outside the domain")
     try:
         u, fp = _evaluate(exp, z, True, True)
@@ -199,70 +229,82 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
 
     paths = [[p] for p in z.tolist()]
     ends = [None] * z.size  # (termination, component_index, stagnated) per line
-    live = np.ones(z.size, dtype=bool)
+    rejected = np.zeros(z.size, dtype=int)
+    # Entry n of the state arrays below is line[n]; done marks the entries
+    # to drop before the next pass.
+    line = np.arange(z.size)
+    done = np.zeros(z.size, dtype=bool)
 
-    def stop(lines, termination, stagnated, components=None):
-        if lines.size == 0:
-            return
-        for n, i in enumerate(lines.tolist()):
-            comp = None if components is None else int(components[n])
-            ends[i] = (termination, comp, stagnated)
-        live[lines] = False
+    def stop(entries, termination, stagnated, components=None):
+        for n, i in enumerate(line[entries].tolist()):
+            ends[i] = (termination, None if components is None else int(components[n]),
+                       stagnated)
+        done[entries] = True
 
     mag = np.abs(fp)
     k1 = np.conj(fp) / np.where(mag < 1e-12, 1.0, mag)
-    stop(np.flatnonzero(mag < 1e-12), STEP_LIMIT, True)
+    if (flat := mag < 1e-12).any():
+        stop(flat, STEP_LIMIT, True)
     h = np.full(z.size, opts.h_max / 8.0)
     steps = np.zeros(z.size, dtype=int)
-    rejected = np.zeros(z.size, dtype=int)
     while True:
-        stop(np.flatnonzero(live & (steps >= opts.max_steps)), STEP_LIMIT, False)
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
+        if (capped := steps >= opts.max_steps).any():
+            stop(capped, STEP_LIMIT, False)
+        if done.any():
+            keep = ~done
+            line, z, u, k1, h, steps = line[keep], z[keep], u[keep], k1[keep], h[keep], steps[keep]
+            done = done[keep]
+        if line.size == 0:
             break
-        zi, hi, ka = z[idx], h[idx], k1[idx]
-        status = np.zeros(idx.size, dtype=np.int8)
-        kb, _ = _directions(exp, zi + 0.5 * hi * ka, status)
-        kc, _ = _directions(exp, zi + 0.75 * hi * kb, status)
-        z_new = zi + hi * (2.0 * ka + 3.0 * kb + 4.0 * kc) / 9.0
+        status = np.zeros(line.size, dtype=np.int8)
+        kb, _ = _directions(exp, z + 0.5 * h * k1, status)
+        kc, _ = _directions(exp, z + 0.75 * h * kb, status)
+        z_new = z + h * (2.0 * k1 + 3.0 * kb + 4.0 * kc) / 9.0
         kd, u_new = _directions(exp, z_new, status, want_u=True)
-        err = np.abs(hi * (-5.0 * ka + 6.0 * kb + 8.0 * kc - 9.0 * kd) / 72.0)
+        err = np.abs(h * (-5.0 * k1 + 6.0 * kb + 8.0 * kc - 9.0 * kd) / 72.0)
+        with np.errstate(divide="ignore"):
+            grow = 0.9 * (tol / err) ** (1.0 / 3.0)
         ok = status == _OK
-
-        shrink = ok & (err > tol) & (hi > h_min)
-        factor = np.maximum(0.25, 0.9 * (tol / err[shrink]) ** (1.0 / 3.0))
-        h[idx[shrink]] = np.maximum(hi[shrink] * factor, h_min)
-
+        shrink = ok & (err > tol) & (h > h_min)
         rest = ok & ~shrink
-        crossed = np.full(idx.size, -1)
-        crossed[rest] = _crossed_boundary(problem, zi[rest], z_new[rest])
-        cross = crossed >= 0
-        descend = rest & ~cross & (u_new <= u[idx])
-        tiny = hi <= 4.0 * h_min
-        undefined = status == _UNDEFINED
-        stop(idx[cross & tiny], HIT_BOUNDARY, False, crossed[cross & tiny])
-        stop(idx[(undefined | descend) & tiny], STEP_LIMIT, True)
-        stop(idx[status == _STAGNANT], STEP_LIMIT, True)
-        halve = (undefined | cross | descend) & ~tiny
-        h[idx[halve]] = np.maximum(hi[halve] / 2.0, h_min)
-        rejected[idx[shrink | undefined | cross | descend]] += 1
-
+        # Only the entries in rest are read: the others' steps are void.
+        crossed = _crossed_boundary(problem, z, z_new)
+        cross = rest & (crossed >= 0)
+        descend = rest & ~cross & (u_new <= u)
         accept = rest & ~cross & ~descend
-        lines, za = idx[accept], z_new[accept]
-        z[lines], u[lines], k1[lines] = za, u_new[accept], kd[accept]
-        steps[lines] += 1
-        for i, p in zip(lines.tolist(), za.tolist()):
+        if accept.all():
+            z, u, k1 = z_new, u_new, kd
+            steps += 1
+            h_next = np.minimum(h * np.minimum(4.0, grow), opts.h_max)
+            za, taken = z_new, line
+        else:
+            undefined = status == _UNDEFINED
+            tiny = h <= 4.0 * h_min
+            if (bounce := cross & tiny).any():
+                stop(bounce, HIT_BOUNDARY, False, crossed[bounce])
+            if (stuck := (undefined | descend) & tiny).any():
+                stop(stuck, STEP_LIMIT, True)
+            if (flat := status == _STAGNANT).any():
+                stop(flat, STEP_LIMIT, True)
+            halve = (undefined | cross | descend) & ~tiny
+            rejected[line[~accept & ~flat]] += 1
+            h_next = np.where(shrink, np.maximum(h * np.maximum(0.25, grow), h_min),
+                              np.where(halve, np.maximum(h / 2.0, h_min), h))
+            entries = np.flatnonzero(accept)
+            za, taken = z_new[entries], line[entries]
+            z[entries], u[entries], k1[entries] = za, u_new[entries], kd[entries]
+            steps[entries] += 1
+            h_next[entries] = np.minimum(h[entries] * np.minimum(4.0, grow[entries]), opts.h_max)
+        h = h_next
+        for i, p in zip(taken.tolist(), za.tolist()):
             paths[i].append(p)
         near = _near_component(problem, za, opts.delta_stop)
         hit = near >= 0
-        stop(lines[hit], HIT_BOUNDARY, False, near[hit])
         left = ~hit & ~_in_window(window, za)
-        stop(lines[left], LEFT_WINDOW, False)
-        go = ~hit & ~left
-        e = err[accept][go]
-        factor = np.full(e.shape, 4.0)
-        factor[e > 0] = np.minimum(4.0, 0.9 * (tol / e[e > 0]) ** (1.0 / 3.0))
-        h[lines[go]] = np.minimum(hi[accept][go] * factor, opts.h_max)
+        if hit.any() or left.any():
+            entries = np.flatnonzero(accept)
+            stop(entries[hit], HIT_BOUNDARY, False, near[hit])
+            stop(entries[left], LEFT_WINDOW, False)
     return [_polyline(p, *end, p[0], problem, int(r)) for p, end, r in zip(paths, ends, rejected)]
 
 

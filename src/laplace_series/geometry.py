@@ -98,7 +98,7 @@ def joukowski_forward(center: complex, halfspan: complex, w):
     """
     scalar = np.isscalar(w) or (isinstance(w, np.ndarray) and w.ndim == 0)
     wa = np.asarray(w, dtype=complex)
-    if np.any(wa == 0):
+    if (wa == 0).any():
         raise DomainError("joukowski_forward is undefined at w = 0")
     z = center + halfspan * (wa + 1.0 / wa) / 2.0
     return complex(z) if scalar else z
@@ -131,7 +131,7 @@ def joukowski_inverse(center: complex, halfspan: complex, z):
     """
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
     zc = (np.asarray(z, dtype=complex) - center) / halfspan
-    if np.any(_on_unit_slit(zc)):
+    if _on_unit_slit(zc).any():
         raise DomainError("inverse slit map is two-valued on the slit itself")
     try:
         with np.errstate(over="raise"):
@@ -167,9 +167,9 @@ def boundary_nodes(component: BoundaryComponent, npts: int, offset: float = None
 def segment_distance(a: complex, b: complex, z) -> float:
     """Euclidean distance from z to the segment [a, b]."""
     ab = b - a
-    t = ((np.conj(ab) * (np.asarray(z, dtype=complex) - a)).real) / abs(ab) ** 2
-    t = np.clip(t, 0.0, 1.0)
-    d = np.abs(a + t * ab - np.asarray(z, dtype=complex))
+    za = np.asarray(z, dtype=complex)
+    t = np.minimum(np.maximum((np.conj(ab) * (za - a)).real / abs(ab) ** 2, 0.0), 1.0)
+    d = np.abs(a + t * ab - za)
     return float(d) if np.isscalar(z) else d
 
 
