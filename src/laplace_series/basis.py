@@ -19,8 +19,10 @@ fitted columns.
 
 Gradients use the identity grad Re f = conj(f') applied to the analytic
 completion of each term.  ``design_matrix`` is the one assembly path; one
-evaluator gives u, f' or both without it, mapping each slit once per call and
-summing each block's series by Horner's rule.
+evaluator gives u, f' or both without it, mapping each slit once per call.
+It sums the series of every block, for u and for f', in one Horner loop over
+a coefficient table zero-padded to the largest degree, so each step is one
+numpy call however many blocks there are.
 """
 
 from __future__ import annotations

@@ -495,6 +495,20 @@ def _run_field_command(cfg: RunConfig, outdir: str, want_contours: bool,
         print(f"u({entry['point'][0]:g}, {entry['point'][1]:g}) = {entry['u']:.13g}")
 
     polylines = _field_polylines(solution, cfg, want_contours, want_streamlines)
+    fan = [line for line in polylines if line.kind == STREAMLINE]
+    if fan:
+        # How each traced line ended; build_report stays the solve's summary.
+        report["streamlines"] = [
+            {
+                "seed_angle": _sig13(line.value),
+                "termination": line.termination,
+                "component_index": line.component_index,
+                "stagnated": line.stagnated,
+                "accepted_steps": line.accepted_steps,
+                "rejected_steps": line.rejected_steps,
+            }
+            for line in fan
+        ]
     files = {}
     if want_report and cfg.outputs.report:
         files[_resolve(outdir, cfg.outputs.report)] = (

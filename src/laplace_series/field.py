@@ -7,9 +7,10 @@ are rejected outright.  All lines of a fan advance in lockstep, with one
 vectorized evaluation per stage for every live line; the last stage gives u
 and f' at the step end from one call.  A stage point where the field is
 undefined is found by the evaluator's DomainError, and only its own line is
-marked.  Equipotentials come from marching squares on a masked grid rather
-than ODE tracing, which sidesteps branch bookkeeping when the topology
-changes.  Contour vertices are grid-edge crossings, computed only for the
+marked.  The proximity stop maps points through a slit's inverse map only
+inside the ellipse the stop distance defines.  Equipotentials come from
+marching squares on a masked grid rather than ODE tracing, which sidesteps
+branch bookkeeping when the topology changes.  Contour vertices are grid-edge crossings, computed only for the
 edges of each level's chains, so joins are exact at any scale.
 """
 
@@ -48,8 +49,9 @@ class Polyline:
 
     ``value`` is the contour level or the streamline seed angle.  ``termination``
     is None for closed contour loops (first vertex repeated at the end).
-    ``rejected_steps`` counts a streamline's rejected trial steps; it is 0 for
-    contours.
+    ``accepted_steps`` and ``rejected_steps`` count a streamline's accepted
+    and rejected trial steps (a line stopped before its first accepted step
+    still carries a padding second point); both are 0 for contours.
     """
 
     points: tuple[complex, ...]
@@ -59,6 +61,7 @@ class Polyline:
     component_index: int | None = None
     stagnated: bool = False
     rejected_steps: int = 0
+    accepted_steps: int = 0
 
     def __post_init__(self):
         if len(self.points) < 2:
@@ -149,7 +152,8 @@ def _crossed_boundary(problem, a, b):
     # Later components go first, so each step keeps the first one's index.
     for j in reversed(range(len(problem.components))):
         comp = problem.components[j]
-        crossed[segments_cross(a, b, *comp.endpoints) if comp.kind == SLIT else in_hole(comp, b)] = j
+        hit = segments_cross(a, b, *comp.endpoints) if comp.kind == SLIT else in_hole(comp, b)
+        crossed[hit] = j
     return crossed
 
 
@@ -249,7 +253,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     steps = np.zeros(z.size, dtype=int)
     while True:
         if (capped := steps >= opts.max_steps).any():
-            stop(capped, STEP_LIMIT, False)
+            stop(capped & ~done, STEP_LIMIT, False)
         if done.any():
             keep = ~done
             line, z, u, k1, h, steps = line[keep], z[keep], u[keep], k1[keep], h[keep], steps[keep]
@@ -272,10 +276,10 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
         cross = rest & (crossed >= 0)
         descend = rest & ~cross & (u_new <= u)
         accept = rest & ~cross & ~descend
+        h_next = np.minimum(h * np.minimum(4.0, grow), opts.h_max)  # after an accepted step
         if accept.all():
             z, u, k1 = z_new, u_new, kd
             steps += 1
-            h_next = np.minimum(h * np.minimum(4.0, grow), opts.h_max)
             za, taken = z_new, line
         else:
             undefined = status == _UNDEFINED
@@ -288,13 +292,13 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
                 stop(flat, STEP_LIMIT, True)
             halve = (undefined | cross | descend) & ~tiny
             rejected[line[~accept & ~flat]] += 1
-            h_next = np.where(shrink, np.maximum(h * np.maximum(0.25, grow), h_min),
-                              np.where(halve, np.maximum(h / 2.0, h_min), h))
+            h_next = np.where(accept, h_next, np.where(
+                shrink, np.maximum(h * np.maximum(0.25, grow), h_min),
+                np.where(halve, np.maximum(h / 2.0, h_min), h)))
             entries = np.flatnonzero(accept)
             za, taken = z_new[entries], line[entries]
             z[entries], u[entries], k1[entries] = za, u_new[entries], kd[entries]
             steps[entries] += 1
-            h_next[entries] = np.minimum(h[entries] * np.minimum(4.0, grow[entries]), opts.h_max)
         h = h_next
         for i, p in zip(taken.tolist(), za.tolist()):
             paths[i].append(p)
@@ -305,7 +309,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
             entries = np.flatnonzero(accept)
             stop(entries[hit], HIT_BOUNDARY, False, near[hit])
             stop(entries[left], LEFT_WINDOW, False)
-    return [_polyline(p, *end, p[0], problem, int(r)) for p, end, r in zip(paths, ends, rejected)]
+    return [_polyline(p, *end, problem, int(r)) for p, end, r in zip(paths, ends, rejected)]
 
 
 def trace_streamline(solution: Solution, z0: complex, opts: TraceOptions = None) -> Polyline:
@@ -323,8 +327,9 @@ def _seed_angle(z0: complex, problem) -> float:
     return math.atan2((z0 - origin).imag, (z0 - origin).real)
 
 
-def _polyline(points, termination, component_index, stagnated, z0, problem,
+def _polyline(points, termination, component_index, stagnated, problem,
               rejected_steps) -> Polyline:
+    accepted_steps = len(points) - 1
     # Degenerate immediate stops get a microscopic pad so the polyline keeps
     # its two-point invariant.
     if len(points) == 1:
@@ -332,11 +337,12 @@ def _polyline(points, termination, component_index, stagnated, z0, problem,
     return Polyline(
         points=tuple(points),
         kind=STREAMLINE,
-        value=_seed_angle(z0, problem),
+        value=_seed_angle(points[0], problem),
         termination=termination,
         component_index=component_index,
         stagnated=stagnated,
         rejected_steps=rejected_steps,
+        accepted_steps=accepted_steps,
     )
 
 

@@ -67,9 +67,12 @@ BoundaryData = Union[float, Callable[[np.ndarray], np.ndarray]]
 RANK_TOL = 1e-13
 
 # Fits with at least this many columns are factored by dgeqrt in panels of
-# QRT_BLOCK columns, narrower ones by dgeqrf; see solve_least_squares.
+# QRT_BLOCK columns (QRT_WIDE_BLOCK from QRT_WIDE_COLUMNS columns on),
+# narrower ones by dgeqrf; see solve_least_squares.
 QRT_COLUMNS = 80
 QRT_BLOCK = 32
+QRT_WIDE_COLUMNS = 1024
+QRT_WIDE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,17 @@ def solve_least_squares(A: np.ndarray, b: np.ndarray, overwrite_a: bool = False)
     Two runs on other seeds gave dgeqrt 63-87% of the solves at 64-79
     columns and 88-100% from 80 up, so the switch sits at 80.  Isolated
     factorizations of the Cantor level-7 fits: 4097 x 640 in 114 -> 94 ms,
-    2048 x 192 in 9.9 -> 5.8 ms.
+    2048 x 192 in 9.9 -> 5.8 ms.  From QRT_WIDE_COLUMNS columns on, the
+    panel is QRT_WIDE_BLOCK wide.  dgeqrt plus dgemqrt on the deep Cantor
+    fits, two alternating runs per panel width (seconds, same host):
+
+        fit                         32           64           128
+        general m=8, 8192 x 1280    0.91 0.95    0.71 0.87    0.74 0.83
+        fold m=10, 8192 x 1536      1.31 1.26    0.99 1.04    1.03 1.02
+        fold m=11, 16384 x 3072    11.0 12.5     8.67 8.76    7.57 7.58
+
+    No single_solves or cantor7 fit reaches 1024 columns (they stop at 164
+    and 640), so those keep the 32-column panel.
 
     With c = Q^T b, x solves R x = c[:n] when LAPACK's dtrcon estimate of the
     reciprocal 1-norm condition number of R is at least n*RANK_TOL, which
@@ -288,7 +301,8 @@ def solve_least_squares(A: np.ndarray, b: np.ndarray, overwrite_a: bool = False)
         # lwork=1 selects the unblocked dorm2r, the faster one for a single column.
         c, _, _ = dormqr("L", "T", qr, tau, b[:, None], lwork=1)
     else:
-        qr, t, _ = dgeqrt(QRT_BLOCK, qr, overwrite_a=1)
+        panel = QRT_BLOCK if n < QRT_WIDE_COLUMNS else QRT_WIDE_BLOCK
+        qr, t, _ = dgeqrt(panel, qr, overwrite_a=1)
         c, _ = dgemqrt(qr, t, b[:, None], "L", "T")
     rcond, _ = dtrcon(qr[:n])
     if rcond >= n * RANK_TOL:

@@ -333,14 +333,23 @@ def test_column_layout_matches_labels():
 @pytest.fixture(scope="module")
 def evaluator_cases(disk1, slit1):
     """Scaled disk, unscaled disks, slit, and a source-free bounded problem
-    whose outer block carries positive powers."""
+    whose outer block carries positive powers; then blocks of mixed degrees,
+    so the evaluator's stacked series table pads rows: a degree-0 disk
+    among unscaled disks and a slit, and a bounded problem whose outer
+    degree differs from every inner one, with a degree-0 slit."""
     prob = green_problem([disk(2 + 1j, 0.5), disk(-2 - 2j, 1.0)], source=0j)
     unscaled = solve_problem(prob, default_spec(prob, degree=12, scaled=False))
     bounded = Problem(
         (disk(0, 6.0, role="outer"), disk(-2 + 1j, 0.8), slit(2 - 1j, 1 + 0.3j)),
         "bounded", None, (0.0, 1.0, -0.5),
     )
-    return [disk1, unscaled, slit1, solve_problem(bounded, default_spec(bounded, degree=10))]
+    mixed = green_problem([disk(2 + 1j, 0.5), disk(-2 - 2j, 1.0), slit(0.5 + 2.5j, 0.7 + 0.2j)],
+                          source=0j)
+    return [
+        disk1, unscaled, slit1, solve_problem(bounded, default_spec(bounded, degree=10)),
+        solve_problem(mixed, ExpansionSpec(degrees=(0, 9, 5), scaled=False)),
+        solve_problem(bounded, ExpansionSpec(degrees=(14, 3, 0), scaled=False)),
+    ]
 
 
 def _reference_fprime(exp, z):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 
 import pytest
@@ -117,6 +118,33 @@ def test_cli_solve_writes_outputs(tmp_path):
     assert csv_text.startswith("kind,level_or_seed,x,y\n")
     assert "\n\n" in csv_text  # blank-line-separated polyline blocks
     assert (tmp_path / "field.svg").read_text().startswith("<svg")
+
+
+def test_cli_report_lists_each_streamline(tmp_path):
+    # solve traces a fan, so report.json says how each line ended; eval
+    # traces none and writes the solve summary alone, as build_report does.
+    cfg_path = tmp_path / "disk1.json"
+    cfg_path.write_text(DISK1)
+    assert main(["solve", "--config", str(cfg_path), "-o", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    lines = report["streamlines"]
+    assert [line["seed_angle"] for line in lines] == [
+        float(f"{2 * math.pi * k / 8:.12e}") for k in range(8)
+    ]
+    blocks = (tmp_path / "field.csv").read_text().split("\n", 1)[1].split("\n\n")
+    fan_blocks = [b for b in blocks if b.startswith("streamline,")]
+    assert len(fan_blocks) == 8
+    for line, block in zip(lines, fan_blocks):
+        assert set(line) == {"seed_angle", "termination", "component_index", "stagnated",
+                             "accepted_steps", "rejected_steps"}
+        hit = line["termination"] == "hit_boundary"
+        assert hit or line["termination"] == "left_window"
+        assert line["component_index"] == (0 if hit else None)
+        assert line["stagnated"] is False
+        assert line["accepted_steps"] == len(block.strip().splitlines()) - 1 > 0
+        assert isinstance(line["rejected_steps"], int) and line["rejected_steps"] >= 0
+    assert main(["eval", "--config", str(cfg_path), "-o", str(tmp_path)]) == 0
+    assert "streamlines" not in json.loads((tmp_path / "report.json").read_text())
 
 
 def test_cli_outputs_deterministic(tmp_path):

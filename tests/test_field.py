@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laplace_series import (
     Expansion,
@@ -35,8 +37,14 @@ from laplace_series.field import (
     STEP_LIMIT,
     _directions,
     _domain_mask,
+    _near_component,
 )
-from laplace_series.geometry import segments_cross
+from laplace_series.geometry import (
+    boundary_distance,
+    in_hole,
+    joukowski_inverse,
+    segments_cross,
+)
 from laplace_series.solver import FitReport
 
 
@@ -219,6 +227,55 @@ def test_stage_at_a_disk_center_stays_on_its_line(scaled):
     assert np.allclose(u[[1, 4]], eval_expansion(exp, z[[1, 4]]), rtol=0, atol=1e-15)
     assert np.all(k[[0, 2, 3, 5]] == 0)
     assert np.all(np.isnan(u[[0, 2, 3, 5]]))
+
+
+def _near_by_full_map(comp, z, delta):
+    """The slit proximity rule with the inverse map run on every point."""
+    hit = (boundary_distance(comp, z) < delta) | in_hole(comp, z)
+    rest = ~hit
+    w = joukowski_inverse(comp.center, comp.halfspan, z[rest])
+    hit[rest] = np.log(np.abs(w)) < delta / abs(comp.halfspan)
+    return np.where(hit, 0, -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cx=st.floats(-5.0, 5.0), cy=st.floats(-5.0, 5.0),
+    span=st.floats(1e-3, 10.0), angle=st.floats(-math.pi, math.pi),
+    delta=st.floats(1e-6, 1e-1), seed=st.integers(0, 2**32 - 1),
+)
+def test_slit_prescreen_matches_the_full_map(cx, cy, span, angle, delta, seed):
+    # Points around both endpoints, on the middle normal and in the band
+    # delta <= dist < |h| sinh(delta/|h|), where only the map can say "near".
+    center, unit = complex(cx, cy), cmath.exp(1j * angle)
+    comp = slit(center, span * unit)
+    problem = green_problem([comp], source=center + 3 * span * 1j * unit)
+    reach = span * math.sinh(delta / span)
+    rng = np.random.default_rng(seed)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, 24))
+    local = np.concatenate([
+        span + rng.uniform(0, 3, 24) * reach * phase,  # around the endpoint +h
+        -span + rng.uniform(0, 3, 24) * reach * phase,  # around -h
+        1j * rng.uniform(-3, 3, 24) * reach,  # the middle normal
+        rng.uniform(-span, span, 24)  # the band, beside the slit
+        + 1j * np.sign(rng.uniform(-1, 1, 24)) * rng.uniform(delta, reach, 24),
+        span * (1 + 0j) + rng.uniform(delta, reach, 24) * phase * np.sign(phase.real),
+    ])
+    z = center + unit * local
+    assert np.array_equal(_near_component(problem, z, delta), _near_by_full_map(comp, z, delta))
+
+
+def test_step_cap_keeps_the_last_step_termination(disk1):
+    # At a 25-step cap some lines leave the window on their 25th step: they
+    # end there, and only lines still inside the window stop at the cap.
+    window = default_window(disk1.problem)
+    fan = streamline_fan(disk1, 32, 0.05, TraceOptions(max_steps=25))
+    assert {line.termination for line in fan if line.accepted_steps == 25} == {
+        LEFT_WINDOW, STEP_LIMIT}
+    for line in fan:
+        outside = not field._in_window(window, np.array(line.points[-1:]))[0]
+        assert outside == (line.termination == LEFT_WINDOW)
+        assert line.termination != STEP_LIMIT or line.accepted_steps == 25
 
 
 def test_fan_fraction_matches_measure(disk1):
@@ -511,3 +568,36 @@ def test_rejected_steps_are_counted(disk1):
     assert alone.rejected_steps == fan[0].rejected_steps
     contours = extract_contours(disk1, [-0.2], window, 60)
     assert contours and all(poly.rejected_steps == 0 for poly in contours)
+
+
+# How each of the 64 lines of the figure benchmark's fan ends, for its
+# picture without the seeded jitter, as "termination component:points:
+# rejected steps" (H hit_boundary, W left_window): the values the tracer
+# gave when each block's series was summed by a loop of its own.
+FIGURE_FAN = (
+    "H1:62:7 H1:61:3 H1:65:2 H1:70:3 H1:79:7 H1:92:11 H1:100:4 H1:125:7 "
+    "H1:153:0 H1:231:0 W:116:0 H0:152:5 H0:119:0 H0:103:9 H0:89:6 H0:78:4 "
+    "H0:72:10 H0:64:8 H0:57:5 H0:52:7 H0:47:6 H0:44:10 H0:39:7 H0:37:12 "
+    "H0:31:6 H0:28:8 H0:26:7 H0:28:13 H0:28:13 H0:26:6 H0:27:7 H0:31:8 "
+    "H0:34:4 H0:39:8 H0:44:10 H0:48:8 H0:52:5 H0:58:7 H0:65:10 H0:72:10 "
+    "H0:78:4 H0:90:10 H0:99:0 H0:117:7 H0:140:6 H0:185:13 W:106:0 W:87:0 "
+    "H1:197:9 H1:151:9 H1:130:8 H1:116:6 H1:106:6 H1:96:3 H1:90:5 H1:79:0 "
+    "H1:63:15 H1:59:19 H1:56:6 H1:54:1 H1:55:2 H1:56:4 H1:56:3 H1:61:8"
+).split()
+
+
+def test_figure_fan_is_pinned():
+    halfspan = complex(math.cos(0.4), math.sin(0.4))
+    prob = green_problem([disk(-2 + 1j, 0.8), slit(2.5 - 0.5j, halfspan)], source=0j)
+    sol = solve_problem(prob, default_spec(prob, degree=12))
+    opts = TraceOptions(window=default_window(prob))
+    fan = streamline_fan(sol, 64, _default_eps(prob), opts)
+    code = {HIT_BOUNDARY: "H", LEFT_WINDOW: "W", STEP_LIMIT: "S"}
+    got = [
+        f"{code[line.termination]}{'' if line.component_index is None else line.component_index}"
+        f":{len(line.points)}:{line.rejected_steps}"
+        for line in fan
+    ]
+    assert got == FIGURE_FAN
+    assert not any(line.stagnated for line in fan)
+    assert all(line.accepted_steps == len(line.points) - 1 for line in fan)
