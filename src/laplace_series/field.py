@@ -114,10 +114,11 @@ def _near_component(problem, z, delta: float):
     (|h| sinh rho sin theta)^2, which is at most (|h| sinh rho)^2 because
     cosh rho - sinh rho = e^-rho <= 1.  A point farther than
     |h| sinh(rho) (1 + 1e-6) from the slit is therefore outside the ellipse
-    of asinh(sinh(rho) (1 + 1e-6)), about rho + 1e-6 tanh rho, a margin in
-    log|w| some 10^9 ulps wide for small rho and never below 10^6 ulps of
-    rho, far beyond the rounding of the map and of the distance, so
-    skipping it changes no answer.
+    of asinh(sinh(rho) (1 + 1e-6)), about rho + 1e-6 tanh rho.  That margin
+    is some 10^9 ulps of rho for small rho and never below 10^6, and in
+    distance it is 1e-6 of the reach, far beyond the rounding of the map
+    and of the distance while delta is above about 1e-9 of the coordinates'
+    size, so skipping such points changes no answer.
     """
     near = np.full(z.shape, -1)
     # Later components go first, so each point keeps the first one's index.
@@ -190,9 +191,10 @@ def _directions(exp, z, status, want_u=False):
         status[todo[np.isnan(fp)]] = _UNDEFINED
     mag = np.abs(fp)
     good = mag >= 1e-12
-    if todo is None and good.all():
-        return np.conj(fp) / mag, ut
-    todo = np.flatnonzero(ok)
+    if todo is None:
+        if good.all():
+            return np.conj(fp) / mag, ut
+        todo = np.flatnonzero(ok)
     status[todo[mag < 1e-12]] = _STAGNANT
     todo = todo[good]
     k = np.zeros(z.shape, dtype=complex)
