@@ -10,8 +10,9 @@ undefined is found by the evaluator's DomainError, and only its own line is
 marked.  The proximity stop maps points through a slit's inverse map only
 inside the ellipse the stop distance defines.  Equipotentials come from
 marching squares on a masked grid rather than ODE tracing, which sidesteps
-branch bookkeeping when the topology changes.  Contour vertices are grid-edge crossings, computed only for the
-edges of each level's chains, so joins are exact at any scale.
+branch bookkeeping when the topology changes.  Contour vertices are
+grid-edge crossings, computed only for the edges of each level's chains, so
+joins are exact at any scale.
 """
 
 from __future__ import annotations
