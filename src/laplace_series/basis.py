@@ -39,7 +39,6 @@ from .geometry import (
     BoundaryComponent,
     DomainError,
     joukowski_inverse,
-    on_slit,
 )
 
 
@@ -240,26 +239,6 @@ class Expansion:
     def _key(self):
         coeffs = tuple(self.vector.tolist())
         return self.components, self.spec, self.source, self.source_strength, coeffs
-
-
-def singular_mask(exp: Expansion, z) -> np.ndarray:
-    """True where the expansion is undefined: at the source, at an inner disk
-    center, or on a closed slit.
-
-    Points within rounding of a slit endpoint pass here; complex_derivative
-    still rejects them because f' is singular there.
-    """
-    z = np.asarray(z, dtype=complex)
-    bad = np.zeros(z.shape, dtype=bool)
-    if exp.source_strength != 0.0 and exp.source is not None:
-        bad |= z == exp.source
-    for j in inner_indices(exp.components):
-        comp = exp.components[j]
-        if comp.kind == DISK:
-            bad |= z == comp.center
-        else:
-            bad |= on_slit(comp.center, comp.halfspan, z)
-    return bad
 
 
 def _series_table(blocks, want_u, want_fp):

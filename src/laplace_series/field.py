@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import _evaluate, complex_derivative, eval_expansion, singular_mask
+from .basis import _evaluate, complex_derivative, eval_expansion
 from .geometry import (
     SLIT,
     DomainError,
@@ -226,8 +226,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     window = opts.window or default_window(problem)
     tol, h_min = opts.step_tol, opts.h_min
     z = np.array(seeds, dtype=complex)
-    outside = (first_hole(problem.components, z) >= 0) | ~_in_window(window, z)
-    if (outside | singular_mask(exp, z)).any():
+    if ((first_hole(problem.components, z) >= 0) | ~_in_window(window, z)).any():
         raise ValueError("streamline seed lies outside the domain")
     try:
         u, fp = _evaluate(exp, z, True, True)

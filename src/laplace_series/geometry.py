@@ -3,7 +3,7 @@ and domain membership.
 
 A slit with center c and halfspan r is the segment c + r*[-1, 1] in the complex
 plane.  The exterior of the unit circle in the w-plane maps onto the exterior of
-the slit through z = c + r*(w + 1/w)/2; the inverse branch is chosen so that
+the slit through z = c + r*(w + 1/w)/2; the inverse branch is the one with
 |w| > 1 off the slit.
 
 The domain is open.  Each component's hole is the closed set it removes from
@@ -113,32 +113,25 @@ def on_slit(center: complex, halfspan: complex, z):
     return _on_unit_slit((np.asarray(z, dtype=complex) - center) / halfspan)
 
 
-def _exterior_root(zc):
-    q = np.sqrt(zc * zc - 1.0)
-    return zc + np.copysign(1.0, zc.real * q.real + zc.imag * q.imag) * q
-
-
 def joukowski_inverse(center: complex, halfspan: complex, z):
     """Invert the slit map, returning the preimage with |w| > 1.
 
-    With zc = (z - center)/halfspan and q = sqrt(zc^2 - 1), the preimages
-    are zc + q and zc - q, and |zc + q|^2 - |zc - q|^2 = 4 Re(conj(zc) q).
-    So w = zc + copysign(1, Re(conj(zc) q)) q is the root outside the unit
-    circle, whichever root the square root returns; the sign of a zero in q
-    cannot change it.  Where zc^2 overflows (|zc| above about 1.3e154), w is
-    2 zc to within 1/(4|zc|^2) < 1e-308 relative.  Raises DomainError for z
-    on the closed slit, where the preimage is two-valued.
+    With zc = (z - center)/halfspan, w = zc + sqrt(zc - 1) sqrt(zc + 1) from
+    principal square roots.  The product is the branch of sqrt(zc^2 - 1)
+    that tends to zc far away and is cut only along [-1, 1]: for real
+    zc < -1 both factors lie on their own cuts, so their jumps cancel.  So
+    |w| > 1 everywhere off the slit.  zc^2 is never formed, so nothing
+    overflows unless w ~ 2 zc itself does (|zc| above about 9e307), and
+    nothing cancels near the endpoints.  zc + 1 is computed as zc - (-1.0):
+    numpy adds 1 as 1 + 0j, which would turn a -0.0 imaginary part into +0.0
+    and put the two factors on opposite sides of their cuts.  Raises
+    DomainError for z on the closed slit, where the preimage is two-valued.
     """
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
     zc = (np.asarray(z, dtype=complex) - center) / halfspan
     if _on_unit_slit(zc).any():
         raise DomainError("inverse slit map is two-valued on the slit itself")
-    try:
-        with np.errstate(over="raise"):
-            w = _exterior_root(zc)
-    except FloatingPointError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.where(np.isfinite(zc * zc), _exterior_root(zc), 2.0 * zc)
+    w = zc + np.sqrt(zc - 1.0) * np.sqrt(zc - -1.0)
     return complex(w) if scalar else w
 
 

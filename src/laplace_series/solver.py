@@ -237,41 +237,16 @@ def assemble_system(problem: Problem, spec: ExpansionSpec, npts: Sequence[int]):
 def solve_least_squares(A: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Minimize ||Ax - b||_2 by Householder QR, A = QR.
 
-    Fits narrower than QRT_COLUMNS are factored by LAPACK dgeqrf, and Q^T b
-    is formed by the unblocked dorm2r.  Wider fits are factored by dgeqrt,
-    which does each QRT_BLOCK-column panel by the recursive compact-WY QR of
-    Elmroth and Gustavson (IBM J. Res. Dev. 44, 2000) in matrix-matrix
-    products, where dgeqrf's panels are matrix-vector work (and dgeqrf runs
-    unblocked below 128 columns); dgemqrt applies Q^T.  Both leave R in the
-    upper triangle.  Mean time of the two on the systems that 90 s of seeded
-    single_solves operations passed here, both timed on fresh copies inside
-    each call (BLAS on one thread, 2 vCPU; win is the share of those solves
-    that dgeqrt did faster):
-
-        columns   solves   dgeqrf    dgeqrt    win
-        < 30      10645     42 us     76 us   0.01
-        30-49     11327     84 us    126 us   0.02
-        50-63      6644    202 us    218 us   0.30
-        64-71      2904    324 us    283 us   0.85
-        72-79      2946    429 us    354 us   0.90
-        80-95      3642    581 us    445 us   0.96
-        96-127     4399   1170 us    722 us   1.00
-        128-175     733   2081 us   1281 us   0.99
-
-    Two runs on other seeds gave dgeqrt 63-87% of the solves at 64-79
-    columns and 88-100% from 80 up, so the switch sits at 80.  Isolated
-    factorizations of the Cantor level-7 fits: 4097 x 640 in 114 -> 94 ms,
-    2048 x 192 in 9.9 -> 5.8 ms.  From QRT_WIDE_COLUMNS columns on, the
-    panel is QRT_WIDE_BLOCK wide.  dgeqrt plus dgemqrt on the deep Cantor
-    fits, two alternating runs per panel width (seconds, same host):
-
-        fit                         32           64           128
-        general m=8, 8192 x 1280    0.91 0.95    0.71 0.87    0.74 0.83
-        fold m=10, 8192 x 1536      1.31 1.26    0.99 1.04    1.03 1.02
-        fold m=11, 16384 x 3072    11.0 12.5     8.67 8.76    7.57 7.58
-
-    No single_solves or cantor7 fit reaches 1024 columns (they stop at 164
-    and 640), so those keep the 32-column panel.
+    Fits narrower than QRT_COLUMNS (80) are factored by LAPACK dgeqrf, and
+    Q^T b is formed by the unblocked dorm2r.  Wider fits are factored by
+    dgeqrt, which does each panel by the recursive compact-WY QR of Elmroth
+    and Gustavson (IBM J. Res. Dev. 44, 2000) in matrix-matrix products,
+    where dgeqrf's panels are matrix-vector work (and dgeqrf runs unblocked
+    below 128 columns); dgemqrt applies Q^T.  The panels are QRT_BLOCK (32)
+    columns wide, QRT_WIDE_BLOCK (128) from QRT_WIDE_COLUMNS (1024) columns
+    on.  Both kernels leave R in the upper triangle.  The timings that set
+    the switches are in CHANGES.md, under "Wide fits by recursive compact-WY
+    QR" and "wide QR panels for the deep Cantor fits".
 
     With c = Q^T b, x solves R x = c[:n] when LAPACK's dtrcon estimate of the
     reciprocal 1-norm condition number of R is at least n*RANK_TOL, which

@@ -125,16 +125,34 @@ def test_inverse_takes_the_exterior_root():
     xs = [0.0, -0.0, 1e-300, -3e-300, 1e-8, 0.5, -0.999]
     pts += [complex(x, sy * 1e-300) for x in xs for sy in (1, -1)]
     pts += [complex(x, sy * 5e-324) for x in (0.2, -0.45) for sy in (1, -1)]
-    # Beyond about 1.3e154, z^2 overflows; the map must stay finite there.
+    # Far out, up to 1e300, where z^2 would overflow past about 1.3e154.
     for r in (1e-3, 1.0, 10.0, 1e50, 1e100, 1e150, 1e160, 1e200, 1e300):
         pts += list(r * np.exp(1j * rng.uniform(-np.pi, np.pi, 12)))
+    # Near the endpoints, where zc^2 - 1 cancels: e + d*exp(i*theta) for 15
+    # decades of d and 16 angles, less the points on the closed slit.
+    near = np.array([-1.0, 1.0])[:, None, None] + np.logspace(-16, -2, 15)[:, None] * np.exp(
+        2j * np.pi * np.arange(16) / 16
+    )
+    pts += [p for p in near.ravel().tolist() if not (p.imag == 0.0 and abs(p.real) <= 1.0)]
     z = np.array(pts)
     ref = np.array([_exterior_root(p) for p in pts])
-    w = joukowski_inverse(0, 1, z)
     tol = 4 * np.finfo(float).eps * np.abs(ref)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        w = joukowski_inverse(0, 1, z)
+        scalar = np.array([joukowski_inverse(0, 1, p) for p in pts])
     assert np.all(np.abs(w - ref) <= tol)
-    scalar = np.array([joukowski_inverse(0, 1, p) for p in pts])
     assert np.all(np.abs(scalar - ref) <= tol)
+    # On the slit's line beyond its ends, with the slit pointing each way, zc
+    # is real and its zero imaginary part may come out with either sign.
+    for x in (1 + 1e-15, 3.0, 1e300, -1 - 1e-15, -3.0, -1e300):
+        ref = _exterior_root(complex(x, 0.0))
+        for zero in (0.0, -0.0):
+            axis = [(1, complex(x, zero)), (-1, complex(-x, zero)),
+                    (1j, complex(zero, x)), (-1j, complex(zero, -x))]
+            for r, p in axis:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    got = [joukowski_inverse(0, r, p), joukowski_inverse(0, r, np.array([p]))[0]]
+                assert all(abs(g - ref) <= 4 * np.finfo(float).eps * abs(ref) for g in got)
     # The endpoints are on the closed slit, where the preimage is two-valued.
     ends = [(0, 1, complex(sx, si)) for sx in (1.0, -1.0) for si in (0.0, -0.0)]
     for c, r, z in ends + [(2, 3, 5.0), (2, 3, -1.0), (1j, 2j, 3j), (1j, 2j, -1j)]:
