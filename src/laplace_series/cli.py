@@ -115,6 +115,17 @@ def _point(value, where: str) -> complex:
     return complex(_number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]"))
 
 
+def _counts(value, key: str, n: int, least: int) -> tuple[int, ...]:
+    """A per-component count: one integer for all n components, or a list of
+    n integers, each at least ``least``."""
+    counts = value if isinstance(value, list) else [value] * n
+    if len(counts) != n:
+        raise ConfigError(f"'{key}' list must give one entry per component")
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= least for x in counts):
+        raise ConfigError(f"'{key}' must be an integer >= {least} or a list of them")
+    return tuple(counts)
+
+
 def _parse_component(entry, idx: int) -> tuple[BoundaryComponent, float]:
     where = f"components[{idx}]"
     if not isinstance(entry, dict):
@@ -179,40 +190,22 @@ def parse_problem_config(text: str) -> RunConfig:
     else:
         source = 0j if domain == EXTERIOR else None
 
-    degree = raw.get("degree", 10)
-    if isinstance(degree, int) and not isinstance(degree, bool):
-        if degree < 0:
-            raise ConfigError("'degree' must be >= 0")
-        degree = [degree] * len(components)
-    elif isinstance(degree, list):
-        if len(degree) != len(components):
-            raise ConfigError("'degree' list must give one entry per component")
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in degree):
-            raise ConfigError("'degree' entries must be integers >= 0")
-    else:
-        raise ConfigError("'degree' must be an integer or a list of integers")
+    degree = _counts(raw.get("degree", 10), "degree", len(components), least=0)
 
     scaled = raw.get("scaled", True)
     if not isinstance(scaled, bool):
         raise ConfigError("'scaled' must be true or false")
-    spec = ExpansionSpec(degrees=tuple(degree), scaled=scaled)
+    spec = ExpansionSpec(degrees=degree, scaled=scaled)
 
     try:
         problem = Problem(components, domain, source, boundary_data)
     except (GeometryError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    npts_raw = raw.get("npts")
-    if npts_raw is None:
+    if raw.get("npts") is None:
         npts = tuple(default_npts(spec))
-    elif isinstance(npts_raw, int) and not isinstance(npts_raw, bool):
-        npts = tuple(npts_raw for _ in components)
-    elif isinstance(npts_raw, list) and len(npts_raw) == len(components):
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in npts_raw):
-            raise ConfigError("'npts' entries must be positive integers")
-        npts = tuple(npts_raw)
     else:
-        raise ConfigError("'npts' must be an integer or a list with one entry per component")
+        npts = _counts(raw["npts"], "npts", len(components), least=1)
 
     if "window" in raw:
         win = raw["window"]

@@ -217,8 +217,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     step does not jump across a boundary; rejected steps shrink and are
     counted per line.  Lines stop independently at a boundary, at the window
     edge, or at the step cap.  The state arrays hold the live lines only, in
-    seed order, and are compacted after a pass that stops some; a pass where
-    every step is accepted skips the rejection bookkeeping.
+    seed order, and are compacted after a pass that stops some.
     """
     problem = solution.problem
     exp = solution.expansion
@@ -278,37 +277,29 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
         cross = rest & (crossed >= 0)
         descend = rest & ~cross & (u_new <= u)
         accept = rest & ~cross & ~descend
-        h_next = np.minimum(h * np.minimum(4.0, grow), opts.h_max)  # after an accepted step
-        if accept.all():
-            z, u, k1 = z_new, u_new, kd
-            steps += 1
-            za, taken = z_new, line
-        else:
-            undefined = status == _UNDEFINED
-            tiny = h <= 4.0 * h_min
-            if (bounce := cross & tiny).any():
-                stop(bounce, HIT_BOUNDARY, False, crossed[bounce])
-            if (stuck := (undefined | descend) & tiny).any():
-                stop(stuck, STEP_LIMIT, True)
-            if (flat := status == _STAGNANT).any():
-                stop(flat, STEP_LIMIT, True)
-            halve = (undefined | cross | descend) & ~tiny
-            rejected[line[~accept & ~flat]] += 1
-            h_next = np.where(accept, h_next, np.where(
-                shrink, np.maximum(h * np.maximum(0.25, grow), h_min),
-                np.where(halve, np.maximum(h / 2.0, h_min), h)))
-            entries = np.flatnonzero(accept)
-            za, taken = z_new[entries], line[entries]
-            z[entries], u[entries], k1[entries] = za, u_new[entries], kd[entries]
-            steps[entries] += 1
-        h = h_next
+        undefined = status == _UNDEFINED
+        tiny = h <= 4.0 * h_min
+        if (bounce := cross & tiny).any():
+            stop(bounce, HIT_BOUNDARY, False, crossed[bounce])
+        if (stuck := (undefined | descend) & tiny).any():
+            stop(stuck, STEP_LIMIT, True)
+        if (flat := status == _STAGNANT).any():
+            stop(flat, STEP_LIMIT, True)
+        halve = (undefined | cross | descend) & ~tiny
+        rejected[line[~accept & ~flat]] += 1
+        entries = np.flatnonzero(accept)
+        za, taken = z_new[entries], line[entries]
+        z[entries], u[entries], k1[entries] = za, u_new[entries], kd[entries]
+        steps[entries] += 1
+        h = np.where(accept, np.minimum(h * np.minimum(4.0, grow), opts.h_max), np.where(
+            shrink, np.maximum(h * np.maximum(0.25, grow), h_min),
+            np.where(halve, np.maximum(h / 2.0, h_min), h)))
         for i, p in zip(taken.tolist(), za.tolist()):
             paths[i].append(p)
         near = _near_component(problem, za, opts.delta_stop)
         hit = near >= 0
         left = ~hit & ~_in_window(window, za)
         if hit.any() or left.any():
-            entries = np.flatnonzero(accept)
             stop(entries[hit], HIT_BOUNDARY, False, near[hit])
             stop(entries[left], LEFT_WINDOW, False)
     return [_polyline(p, *end, problem, int(r)) for p, end, r in zip(paths, ends, rejected)]

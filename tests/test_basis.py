@@ -17,6 +17,7 @@ from laplace_series import (
     solve_problem,
 )
 from laplace_series.basis import (
+    _CHUNK_POINTS,
     _evaluate,
     _local_coordinates,
     _powers,
@@ -446,3 +447,36 @@ def test_one_call_gives_both_values_bit_for_bit(evaluator_cases):
         assert np.array_equal(fp, complex_derivative(exp, pts))
         assert _evaluate(exp, pts, True, False)[1] is None
         assert _evaluate(exp, pts, False, True)[0] is None
+
+
+def test_evaluation_in_any_grouping_agrees(evaluator_cases):
+    # One call over more than three chunks' worth of points, then the same
+    # points in pieces of other sizes, down to one scalar call per point: the
+    # per-point series sums may round differently, by at most 2 eps.
+    tol = 2 * np.finfo(float).eps
+    for sol in evaluator_cases[4:]:  # disks and a slit; bounded, mixed degrees
+        exp = sol.expansion
+        pts = domain_points(sol.problem, 3 * _CHUNK_POINTS + 5, seed=27)
+        u, fp = _evaluate(exp, pts, True, True)
+        for size in (1, 7, 1000, _CHUNK_POINTS + 1):
+            pieces = [_evaluate(exp, pts[i] if size == 1 else pts[i : i + size], True, True)
+                      for i in range(0, pts.size, size)]
+            up, fpp = (np.hstack(v) for v in zip(*pieces))
+            assert np.all(np.abs(up - u) <= tol * np.maximum(1.0, np.abs(u)))
+            assert np.all(np.abs(fpp - fp) <= tol * np.maximum(1.0, np.abs(fp)))
+
+
+def test_powers_past_a_block_degree_are_not_read():
+    # The evaluator's power table runs to the largest degree (110); near an
+    # unscaled disk of radius 1e-3, t = 1/(z - c) reaches 667, so that disk's
+    # powers past its own degree 2 overflow and must not enter its series.
+    prob = green_problem([disk(0j, 1e-3), disk(3 + 0j, 1.0)], source=1.5 + 1j)
+    exp = solve_problem(prob, ExpansionSpec(degrees=(2, 110), scaled=False)).expansion
+    pts = np.array([0.0015 + 0j, 0.5 - 0.5j, -2 + 1j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, fp = _evaluate(exp, pts, True, True)
+    ref = design_matrix(pts, exp.components, exp.spec) @ exp.vector
+    ref += exp.source_strength * np.log(np.abs(pts - exp.source))
+    assert np.all(np.abs(u - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    fp_ref = _reference_fprime(exp, pts)
+    assert np.all(np.abs(fp - fp_ref) <= 1e-13 * np.maximum(1.0, np.abs(fp_ref)))

@@ -295,6 +295,22 @@ def test_window_order_is_checked():
             parse_problem_config(text)
 
 
+@pytest.mark.parametrize("key,value", [("npts", -3), ("npts", 0), ("npts", [40, 0]),
+                                       ("npts", True), ("degree", -1), ("degree", [3]),
+                                       ("degree", "3")])
+def test_component_counts_are_checked_when_parsed(key, value):
+    # An integer applies to every component, a list gives one per component;
+    # either way npts must be >= 1 and degree >= 0.
+    cfg = json.loads(DISK1)
+    cfg["components"].append({"kind": "slit", "center": [-3, 0], "halfspan": [1, 0]})
+    cfg.update(npts=1, degree=0)
+    parsed = parse_problem_config(json.dumps(cfg))
+    assert parsed.npts == (1, 1) and parsed.spec.degrees == (0, 0)
+    cfg[key] = value
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        parse_problem_config(json.dumps(cfg))
+
+
 def test_cli_unwritable_output_leaves_no_partial_files(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
