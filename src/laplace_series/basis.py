@@ -21,14 +21,18 @@ Gradients use the identity grad Re f = conj(f') applied to the analytic
 completion of each term.  ``design_matrix`` is the one assembly path; one
 evaluator gives u, f' or both without it, mapping each slit once per call.
 Both take the powers t, t^2, ... from ``_powers``: assembly splits them into
-the Re/Im column pairs, and the evaluator builds one table over every block's
-points and sums each block's series from it by a matrix-vector product.
+the Re/Im column pairs, and the evaluator builds one table per degree over its
+blocks' points and sums each block's series from it by a matrix-vector
+product, with the coefficients an expansion forms once, on its first
+evaluation (``Expansion._plan``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .geometry import (
     BoundaryComponent,
     DomainError,
     joukowski_inverse,
+    unit_slit_inverse,
 )
 
 
@@ -113,18 +118,30 @@ def column_labels(components, spec: ExpansionSpec) -> list[str]:
 
 
 def _powers(t: np.ndarray, n: int) -> np.ndarray:
-    """t, t^2, ..., t^n as a Fortran-ordered table built column by column, so
-    each product runs over every row at once, however small n is.
+    """t, t^2, ..., t^n as a Fortran-ordered (points, n) table, built power by
+    power so each product runs over every point at once, however small n is.
 
     design_matrix fills its column pairs from one table per block; _evaluate
-    builds one table over the stacked points of every block and reads each
-    block's rows as a (points, degree) matrix.
+    builds one table per degree over the stacked points of its blocks and
+    reads each block's rows as a (points, degree) matrix.
     """
-    p = np.empty((t.shape[0], n), dtype=complex, order="F")
-    p[:, :1] = t[:, None]
+    p = np.empty((n, t.shape[0]), dtype=complex)
+    if n:
+        p[0] = t
     for k in range(1, n):
-        np.multiply(p[:, k - 1], t, out=p[:, k])
-    return p
+        np.multiply(p[k - 1], t, p[k])
+    return p.T
+
+
+def _local_scale(comp: BoundaryComponent, scaled: bool):
+    """(scale, log offset) of an inner component's local variable zeta.
+
+    zeta = (z - c)/scale, or z - c for an unscaled disk (scale None); the
+    block's log column is log|zeta| + offset.
+    """
+    if comp.kind == DISK:
+        return (comp.radius, math.log(comp.radius)) if scaled else (None, 0.0)
+    return comp.halfspan, math.log(abs(comp.halfspan) / 2.0)
 
 
 def _local_coordinates(z, components, spec: ExpansionSpec, preimages=None, owner=None):
@@ -139,11 +156,9 @@ def _local_coordinates(z, components, spec: ExpansionSpec, preimages=None, owner
     """
     for slot, j in enumerate(inner_indices(components)):
         comp = components[j]
+        scale, offset = _local_scale(comp, spec.scaled)
         if comp.kind == DISK:
-            if spec.scaled:
-                yield slot, j, (z - comp.center) / comp.radius, math.log(comp.radius)
-            else:
-                yield slot, j, z - comp.center, 0.0
+            yield slot, j, (z - comp.center if scale is None else (z - comp.center) / scale), offset
             continue
         if owner is None or (rest := owner != j).all():
             w = joukowski_inverse(comp.center, comp.halfspan, z)
@@ -152,7 +167,7 @@ def _local_coordinates(z, components, spec: ExpansionSpec, preimages=None, owner
             w[rest] = joukowski_inverse(comp.center, comp.halfspan, z[rest])
         else:
             w = preimages
-        yield slot, j, w, math.log(abs(comp.halfspan) / 2.0)
+        yield slot, j, w, offset
 
 
 def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None):
@@ -245,11 +260,63 @@ class Expansion:
         coeffs = tuple(self.vector.tolist())
         return self.components, self.spec, self.source, self.source_strength, coeffs
 
+    # A pickle rebuilds the expansion from its fields, so the copy's views
+    # and read-only vector are made as the constructor makes them.
+    def __reduce__(self):
+        return Expansion, (self.components, self.spec, self.vector, self.source,
+                           self.source_strength)
+
+    # The evaluation plan, derived from the fields on the first evaluation;
+    # equality, hashing and pickles leave it out.
+    @cached_property
+    def _plan(self):
+        return _evaluation_plan(self)
+
 
 # Longer inputs are evaluated in near-equal chunks of at most this many
 # points, so one chunk's power table stays under 1 MB for two blocks of
 # degree 12: blocks x points x degree complex entries.
 _CHUNK_POINTS = 2048
+
+
+class _Block(NamedTuple):
+    """One series block of an evaluation plan, in column order."""
+
+    kind: str  # DISK, SLIT or OUTER
+    center: complex
+    scale: complex | None  # see _local_scale; the radius r_0 for OUTER
+    offset: float  # log column offset; 0.0 for OUTER
+    d: float  # log coefficient d_j; 0.0 for OUTER
+    c: np.ndarray  # c_k = a_k - i b_k, k = 1..degree
+    kc: np.ndarray  # k c_k
+    table: int  # index of the power table of this block's degree
+    row: int  # this block's row in that table
+
+
+def _evaluation_plan(exp: Expansion):
+    """(blocks, tables): what _evaluate needs of an expansion, formed once.
+
+    ``blocks`` holds a _Block per inner component and one for an outer block
+    of positive degree, last.  Blocks of one degree share a power table;
+    ``tables[i]`` is (degree, rows) of table i, so no block's powers run past
+    its own degree.
+    """
+    comps = exp.components
+    parts = [(comps[j], *_local_scale(comps[j], exp.spec.scaled), d, b)
+             for j, d, b in zip(inner_indices(comps), exp.log_coeffs, exp.blocks)]
+    if exp.blocks[-1].size:
+        out = comps[outer_index(comps)]
+        parts.append((out, out.radius, 0.0, 0.0, exp.blocks[-1]))
+    degrees = list(dict.fromkeys(b.size for *_, b in parts))
+    rows = [0] * len(degrees)
+    blocks = []
+    for comp, scale, offset, d, b in parts:
+        table, c = degrees.index(b.size), b.conj()
+        kind = OUTER if comp.role == OUTER else comp.kind
+        blocks.append(_Block(kind, comp.center, scale, offset, float(d), c,
+                             np.arange(1, b.size + 1) * c, table, rows[table]))
+        rows[table] += 1
+    return tuple(blocks), tuple(zip(degrees, rows))
 
 
 def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
@@ -260,17 +327,19 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
     (d_j - sum_k k c_jk t^k) zeta'/zeta to f', with t = 1/zeta and c_jk =
     a_jk - i b_jk the conjugate of the expansion's block view; the outer
     block adds Re sum_k c_k t^k and sum_k k c_k t^(k-1) / r_0 with t = T_0.
-    One _powers table holds t, ..., t^n for every block's points, n the
-    largest degree, and each block's series is a matrix-vector product of
-    its slice of the table, up to its own degree, with c_k for u and k c_k
-    for f' (the outer block's k c_k against t^(k-1)).  No basis matrix is
-    built, each slit is mapped once per chunk of points, and the terms are
-    added block by block in column order.  BLAS sums each point's series,
-    and may add its terms in another order for another number of points, so
-    a value can move in its last bits with the grouping of the points: by at
-    most 1.6 eps relative to max(1, |v|), for u and f', on 24,581 points
-    evaluated in one call and again in pieces of 1, 9, 2,048, 2,049, 3,512
-    and 5,000 points (the figure geometry and three mixed-degree cases).
+    The expansion's plan (_evaluation_plan, built on its first evaluation)
+    holds each block's map, c_k and k c_k.  One _powers table per degree
+    holds t, ..., t^n for the points of every block of degree n, and each
+    block's series is a matrix-vector product of its rows of the table with
+    c_k for u and k c_k for f' (the outer block's k c_k against t^(k-1)).
+    No basis matrix is built, each slit is mapped once per chunk of points,
+    and the terms are added block by block in column order.  BLAS sums each
+    point's series, and may add its terms in another order for another
+    number of points, so a value can move in its last bits with the grouping
+    of the points: by at most 1.6 eps relative to max(1, |v|), for u and f',
+    on 24,581 points evaluated in one call and again in pieces of 1, 9,
+    2,048, 2,049, 3,512 and 5,000 points (the figure geometry and three
+    mixed-degree cases).
     """
     za = np.asarray(z, dtype=complex)
     flat = za.reshape(-1)
@@ -290,59 +359,62 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
 
 def _evaluate_flat(exp: Expansion, z, want_u, want_fp):
     """_evaluate on a 1-D array of points: (u, f') as arrays or None."""
+    blocks, tables = exp._plan
     u = np.full(z.shape, exp.constant) if want_u else None
     fp = np.zeros(z.shape, dtype=complex) if want_fp else None
     if exp.source_strength != 0.0:
-        if (z == exp.source).any():
-            raise DomainError("the field is unbounded at the source point")
+        # count_nonzero is the cheapest test on a few dozen points; z - s is
+        # 0 exactly where z == s.
         zs = z - exp.source
+        if np.count_nonzero(zs) < z.size:
+            raise DomainError("the field is unbounded at the source point")
         if want_u:
             u += exp.source_strength * np.log(np.abs(zs))
         if want_fp:
             fp += exp.source_strength / zs
-    inner, outer = exp.blocks[:-1], exp.blocks[-1]
-    blocks = exp.blocks if outer.size else inner
-    # t[s] is the series variable of block s: 1/zeta, or T_0 last.
-    t = np.empty((len(blocks), z.size), dtype=complex)
+    # t[i][row] is the series variable of that block: 1/zeta, or T_0.
+    t = [np.empty((rows, z.size), dtype=complex) for _, rows in tables]
     logs, dlogs = [], []
-    for slot, j, zeta, offset in _local_coordinates(z, exp.components, exp.spec):
-        comp = exp.components[j]
-        if comp.kind == DISK and (zeta == 0).any():
-            raise DomainError("expansion is singular at a component center")
-        ts = np.divide(1.0, zeta, out=t[slot])
+    for blk in blocks:
+        ts = t[blk.table][blk.row]
+        if blk.kind == OUTER:
+            np.divide(z - blk.center, blk.scale, out=ts)
+            continue
+        if blk.kind == DISK:
+            zc = z - blk.center
+            zeta = zc if blk.scale is None else zc / blk.scale
+            if np.count_nonzero(zeta) < z.size:
+                raise DomainError("expansion is singular at a component center")
+        else:
+            zeta = unit_slit_inverse((z - blk.center) / blk.scale)
+        np.divide(1.0, zeta, out=ts)
         if want_u:
-            logs.append(exp.log_coeffs[slot] * (np.log(np.abs(zeta)) + offset))
+            logs.append(blk.d * (np.log(np.abs(zeta)) + blk.offset))
         if want_fp:
-            if comp.kind == DISK:
-                dlogs.append(1.0 / (z - comp.center))
+            if blk.kind == DISK:
+                dlogs.append(1.0 / zc)
             else:
                 denom = 1.0 - ts * ts
-                if (np.abs(denom) < 1e-13).any():
+                if np.count_nonzero(np.abs(denom) < 1e-13):
                     raise DomainError("derivative is singular at a slit endpoint")
-                dlogs.append(2.0 / (comp.halfspan * denom * zeta))
-    if outer.size:
-        out = exp.components[outer_index(exp.components)]
-        np.divide(z - out.center, out.radius, out=t[-1])
-    # One table of t, ..., t^n over every block's points, n the largest
-    # degree, viewed per block as (blocks, points, n) without a copy.  Each
-    # block reads only the columns up to its own degree: the higher powers
-    # of a block with a lower degree may overflow.
-    n = max((b.size for b in blocks), default=0)
-    p = _powers(t.reshape(-1), n).reshape(t.shape + (n,))
-    for slot, b in enumerate(inner):
-        pb, c = p[slot, :, : b.size], b.conj()
+                dlogs.append(2.0 / (blk.scale * denom * zeta))
+    # One table of t, ..., t^n per degree n over its blocks' points, viewed
+    # as (blocks, points, n) without a copy.
+    p = [_powers(ti.reshape(-1), n).reshape(ti.shape + (n,)) for (n, _), ti in zip(tables, t)]
+    # logs and dlogs hold the inner blocks, which come first.
+    for i, blk in enumerate(blocks):
+        pb = p[blk.table][blk.row]
+        if blk.kind == OUTER:
+            if want_u:
+                u += (pb @ blk.c).real
+            if want_fp:
+                # d/dz t^k = k t^(k-1) / r_0: c_1 times t^0, then k c_k times t^(k-1)
+                fp += (blk.kc[0] + pb[:, :-1] @ blk.kc[1:]) / blk.scale
+            continue
         if want_u:
-            u += logs[slot] + (pb @ c).real
+            u += logs[i] + (pb @ blk.c).real
         if want_fp:
-            fp += (exp.log_coeffs[slot] - pb @ (np.arange(1, b.size + 1) * c)) * dlogs[slot]
-    if outer.size:
-        pb, c = p[-1, :, : outer.size], outer.conj()
-        if want_u:
-            u += (pb @ c).real
-        if want_fp:
-            # d/dz t^k = k t^(k-1) / r_0: c_1 times t^0, then k c_k times t^(k-1)
-            kc = np.arange(1, outer.size + 1) * c
-            fp += (kc[0] + pb[:, :-1] @ kc[1:]) / out.radius
+            fp += (blk.d - pb @ blk.kc) * dlogs[i]
     return u, fp
 
 

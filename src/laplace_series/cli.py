@@ -376,8 +376,9 @@ def polylines_csv(polylines) -> str:
     for idx, poly in enumerate(polylines):
         if idx > 0:
             lines.append("")
-        prefix = f"{poly.kind},{poly.value:.13g},"
-        lines.extend(f"{prefix}{p.real:.13g},{p.imag:.13g}" for p in poly.points)
+        row = f"{poly.kind},{poly.value:.13g},".replace("%", "%%") + "%.13g,%.13g"
+        xy = np.array(poly.points, dtype=complex).view(float).tolist()
+        lines.append("\n".join([row] * len(poly.points)) % tuple(xy))
     return "\n".join(lines) + "\n"
 
 
@@ -402,9 +403,11 @@ def emit_svg(polylines, components, window) -> str:
     ]
     color = {EQUIPOTENTIAL: "#2060c0", STREAMLINE: "#c03020"}
     for poly in polylines:
-        coords = " L".join(
-            f"{(p.real - x0) * scale:.3f} {(y1 - p.imag) * scale:.3f}" for p in poly.points
-        )
+        pts = np.array(poly.points, dtype=complex)
+        xy = np.empty((pts.size, 2))
+        xy[:, 0] = (pts.real - x0) * scale
+        xy[:, 1] = (y1 - pts.imag) * scale
+        coords = " L".join(["%.3f %.3f"] * pts.size) % tuple(xy.ravel().tolist())
         parts.append(
             f'<path d="M{coords}" fill="none" stroke="{color.get(poly.kind, "#444444")}" '
             f'stroke-width="1"/>'

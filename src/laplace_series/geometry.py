@@ -128,11 +128,16 @@ def joukowski_inverse(center: complex, halfspan: complex, z):
     DomainError for z on the closed slit, where the preimage is two-valued.
     """
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    zc = (np.asarray(z, dtype=complex) - center) / halfspan
-    if _on_unit_slit(zc).any():
-        raise DomainError("inverse slit map is two-valued on the slit itself")
-    w = zc + np.sqrt(zc - 1.0) * np.sqrt(zc - -1.0)
+    w = unit_slit_inverse((np.asarray(z, dtype=complex) - center) / halfspan)
     return complex(w) if scalar else w
+
+
+def unit_slit_inverse(zc: np.ndarray) -> np.ndarray:
+    """joukowski_inverse of the slit [-1, 1] on an array zc = (z - center)/halfspan."""
+    # Few points lie exactly on the real axis, so that test runs first.
+    if np.count_nonzero(zc.imag == 0.0) and np.count_nonzero(_on_unit_slit(zc)):
+        raise DomainError("inverse slit map is two-valued on the slit itself")
+    return zc + np.sqrt(zc - 1.0) * np.sqrt(zc - -1.0)
 
 
 def boundary_nodes(component: BoundaryComponent, npts: int, offset: float = None):

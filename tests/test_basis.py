@@ -1,4 +1,8 @@
+import cmath
+import dataclasses
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +33,11 @@ from laplace_series.basis import (
 )
 from laplace_series.geometry import DomainError, boundary_nodes, joukowski_inverse
 from laplace_series.solver import assemble_system, solve_with_log_sum
+
+
+def _copy(exp, vector=None):
+    return Expansion(exp.components, exp.spec, exp.vector if vector is None else vector,
+                     exp.source, exp.source_strength)
 
 
 def source_only(strength=1.0, at=0j):
@@ -466,17 +475,82 @@ def test_evaluation_in_any_grouping_agrees(evaluator_cases):
             assert np.all(np.abs(fpp - fp) <= tol * np.maximum(1.0, np.abs(fp)))
 
 
-def test_powers_past_a_block_degree_are_not_read():
-    # The evaluator's power table runs to the largest degree (110); near an
-    # unscaled disk of radius 1e-3, t = 1/(z - c) reaches 667, so that disk's
-    # powers past its own degree 2 overflow and must not enter its series.
+@pytest.fixture(scope="module")
+def small_disk_beside_degree_110():
+    # Near an unscaled disk of radius 1e-3, t = 1/(z - c) reaches 667, so
+    # its powers overflow long before the other block's degree 110.
     prob = green_problem([disk(0j, 1e-3), disk(3 + 0j, 1.0)], source=1.5 + 1j)
-    exp = solve_problem(prob, ExpansionSpec(degrees=(2, 110), scaled=False)).expansion
+    return solve_problem(prob, ExpansionSpec(degrees=(2, 110), scaled=False)).expansion
+
+
+def test_powers_past_a_block_degree_are_not_read(small_disk_beside_degree_110):
+    exp = small_disk_beside_degree_110
     pts = np.array([0.0015 + 0j, 0.5 - 0.5j, -2 + 1j])
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, fp = _evaluate(exp, pts, True, True)
+    u, fp = _evaluate(exp, pts, True, True)
     ref = design_matrix(pts, exp.components, exp.spec) @ exp.vector
     ref += exp.source_strength * np.log(np.abs(pts - exp.source))
     assert np.all(np.abs(u - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
     fp_ref = _reference_fprime(exp, pts)
     assert np.all(np.abs(fp - fp_ref) <= 1e-13 * np.maximum(1.0, np.abs(fp_ref)))
+
+
+def test_no_power_is_formed_past_a_block_degree(small_disk_beside_degree_110):
+    # Each degree gets its own power table, so evaluating next to the small
+    # disk overflows nothing (a RuntimeWarning is an error here).
+    exp = small_disk_beside_degree_110
+    assert exp._plan[1] == ((2, 1), (110, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u, fp = _evaluate(exp, 0.0015, True, True)
+        assert math.isfinite(u) and cmath.isfinite(fp)
+        assert np.isfinite(eval_gradient(exp, np.array([0.0015, 0.0011j]))).all()
+
+
+def test_expansions_on_one_geometry_keep_their_own_plans(evaluator_cases):
+    # Same components and spec, different vectors, evaluated in alternation:
+    # each gives, bit for bit, what it gives evaluated alone.
+    sol = evaluator_cases[4]
+    pts = domain_points(sol.problem, 40, seed=29)
+    exps = [sol.expansion, _copy(sol.expansion, 0.5 * sol.expansion.vector + 0.25)]
+    alone = [_evaluate(_copy(e), pts, True, True) for e in exps]
+    assert not np.array_equal(alone[0][0], alone[1][0])
+    for _ in range(2):
+        for e, (u, fp) in zip(exps, alone):
+            ue, fe = _evaluate(e, pts, True, True)
+            assert np.array_equal(ue, u) and np.array_equal(fe, fp)
+
+
+def test_plan_leaves_equality_hash_replace_and_pickle_alone(evaluator_cases):
+    sol = evaluator_cases[3]  # bounded: an outer block as well as inner ones
+    pts = domain_points(sol.problem, 30, seed=31)
+    exp = _copy(sol.expansion)
+    state, key = pickle.dumps(exp), hash(exp)
+    u, fp = _evaluate(exp, pts, True, True)  # builds the plan
+    assert "_plan" in vars(exp) and "_plan" not in repr(exp)
+    assert exp == sol.expansion and hash(exp) == key
+    assert pickle.dumps(exp) == state
+    back = pickle.loads(state)
+    assert back == exp and hash(back) == key and not back.vector.flags.writeable
+    assert all(np.shares_memory(b, back.vector) for b in back.blocks if b.size)
+    ub, fb = _evaluate(back, pts, True, True)
+    assert np.array_equal(ub, u) and np.array_equal(fb, fp)
+    assert dataclasses.replace(exp) == exp
+    vec = exp.vector * 2.0
+    changed = dataclasses.replace(exp, vector=vec)
+    assert changed != exp and changed == _copy(exp, vec)
+    uc, fc = _evaluate(changed, pts, True, True)
+    ur, fr = _evaluate(_copy(exp, vec), pts, True, True)
+    assert np.array_equal(uc, ur) and np.array_equal(fc, fr)
+    assert not np.array_equal(uc, u)
+
+
+def test_first_evaluation_matches_later_ones(evaluator_cases):
+    # The call that builds the plan gives the same bits as the calls that
+    # reuse it, for u, f' and both.
+    for sol in evaluator_cases:
+        pts = domain_points(sol.problem, 25, seed=33)
+        for want in ((True, True), (True, False), (False, True)):
+            first = _evaluate(_copy(sol.expansion), pts, *want)
+            again = _evaluate(sol.expansion, pts, *want)
+            for a, b in zip(first, again):
+                assert (a is None and b is None) or np.array_equal(a, b)

@@ -349,3 +349,45 @@ def test_csv_block_schema():
     assert header == "kind,level_or_seed,x,y"
     assert rows[0].startswith("equipotential,-0.5,")
     assert blocks[1].splitlines()[0].startswith("streamline,0.25,1,")
+
+
+def _reference_csv(polylines):
+    """The writer's output formatted one f-string per point."""
+    lines = ["kind,level_or_seed,x,y"]
+    for idx, poly in enumerate(polylines):
+        if idx > 0:
+            lines.append("")
+        lines.extend(f"{poly.kind},{poly.value:.13g},{p.real:.13g},{p.imag:.13g}"
+                     for p in poly.points)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg_paths(polylines, window):
+    x0, x1, y0, y1 = window
+    scale = 900.0 / (x1 - x0)
+    return [" L".join(f"{(p.real - x0) * scale:.3f} {(y1 - p.imag) * scale:.3f}"
+                      for p in poly.points) for poly in polylines]
+
+
+def test_writers_match_per_point_formatting():
+    # Edge values of both formats: signed zeros, extreme magnitudes, ties and
+    # near-ties at 13 significant digits (1234567890123.5 is exact; the
+    # decimal 1.00000000000005 is not) and at 3 decimals (0.0625 is exact,
+    # 0.0005 and 2.0005 are not), the switch to exponent form, a two-point
+    # polyline and a '%' in the kind.
+    edge = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 1234567890123.5, 1234567890124.5,
+            9999999999999.5, 1.00000000000005, 0.0001, 0.00001, 0.0625, 0.0005, -0.0005,
+            2.0005, 1.0015, 899.9995, 5e-324]
+    pts = tuple(complex(a, b) for a, b in zip(edge, edge[::-1]))
+    polys = [
+        Polyline(points=pts, kind="equipotential", value=-0.0, termination=None),
+        Polyline(points=(complex(-0.0, -0.0), 1e300 + 1e-300j), kind="streamline",
+                 value=1234567890123.5, termination="left_window"),
+        Polyline(points=(0.0625 + 0.0005j, 2.0005 - 0.0j), kind="odd%skind", value=1e-300,
+                 termination=None),
+    ]
+    assert polylines_csv(polys) == _reference_csv(polys)
+    for window in ((0.0, 900.0, 0.0, 900.0), (-2.5, 3.5, -1.0, 4.0)):
+        paths = [line.split('d="M')[1].split('"')[0]
+                 for line in emit_svg(polys, [], window).splitlines() if line.startswith("<path")]
+        assert paths == _reference_svg_paths(polys, window)
