@@ -19,12 +19,13 @@ fitted columns.
 
 Gradients use the identity grad Re f = conj(f') applied to the analytic
 completion of each term.  ``design_matrix`` is the one assembly path; one
-evaluator gives u, f' or both without it, mapping each slit once per call.
-Both take the powers t, t^2, ... from ``_powers``: assembly splits them into
-the Re/Im column pairs, and the evaluator builds one table per degree over its
-blocks' points and sums each block's series from it by a matrix-vector
-product, with the coefficients an expansion forms once, on its first
-evaluation (``Expansion._plan``).
+evaluator gives u, f' or both without it.  Both read each block's variable
+T_j from one block map (``_block_maps``, ``_block_variable``), which maps
+each slit once per call, and take the powers t, t^2, ... from ``_powers``:
+assembly splits them into the Re/Im column pairs, and the evaluator builds one
+table per degree over its blocks' points and sums each block's series from it
+by a matrix-vector product, with the coefficients an expansion forms once, on
+its first evaluation (``Expansion._plan``).
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .geometry import (
     DISK,
     INNER,
     OUTER,
+    SLIT,
     BoundaryComponent,
     DomainError,
-    joukowski_inverse,
     unit_slit_inverse,
 )
 
@@ -133,41 +134,55 @@ def _powers(t: np.ndarray, n: int) -> np.ndarray:
     return p.T
 
 
-def _local_scale(comp: BoundaryComponent, scaled: bool):
-    """(scale, log offset) of an inner component's local variable zeta.
+class _BlockMap(NamedTuple):
+    """How one series block's variable zeta, T_j of the module formula (T_0
+    for the outer circle), follows from z; an inner block's log column L_j is
+    log|zeta| + offset."""
 
-    zeta = (z - c)/scale, or z - c for an unscaled disk (scale None); the
-    block's log column is log|zeta| + offset.
-    """
-    if comp.kind == DISK:
-        return (comp.radius, math.log(comp.radius)) if scaled else (None, 0.0)
-    return comp.halfspan, math.log(abs(comp.halfspan) / 2.0)
+    j: int  # index of the block's component
+    kind: str  # DISK, SLIT or OUTER
+    center: complex
+    scale: complex | None  # r, halfspan or r_0; None for an unscaled disk
+    offset: float  # 0.0 for OUTER
 
 
-def _local_coordinates(z, components, spec: ExpansionSpec, preimages=None, owner=None):
-    """Yield (slot, j, zeta, log offset) for each inner component j.
-
-    zeta is the block's local variable: (z - c)/r for a scaled disk, z - c for
-    an unscaled one, and the inverse slit map w for a slit.  On rows whose
-    ``owner`` is slit j itself, ``preimages`` (one per row) replaces the map;
-    each slit's map runs once, over the rows it does not own.  The block's log
-    column is log|zeta| + offset, which is log|z - c| for a disk and
-    log(|w| |r|/2) for a slit, and its power columns are zeta^-k.
-    """
-    for slot, j in enumerate(inner_indices(components)):
+def _block_maps(components, spec: ExpansionSpec) -> list[_BlockMap]:
+    """The maps of the blocks that have columns, in column order: each inner
+    component's, then the outer circle's when its degree is positive."""
+    maps = []
+    for j in inner_indices(components):
         comp = components[j]
-        scale, offset = _local_scale(comp, spec.scaled)
         if comp.kind == DISK:
-            yield slot, j, (z - comp.center if scale is None else (z - comp.center) / scale), offset
-            continue
-        if owner is None or (rest := owner != j).all():
-            w = joukowski_inverse(comp.center, comp.halfspan, z)
-        elif rest.any():
-            w = preimages.copy()
-            w[rest] = joukowski_inverse(comp.center, comp.halfspan, z[rest])
+            scale, offset = (comp.radius, math.log(comp.radius)) if spec.scaled else (None, 0.0)
         else:
-            w = preimages
-        yield slot, j, w, offset
+            scale, offset = comp.halfspan, math.log(abs(comp.halfspan) / 2.0)
+        maps.append(_BlockMap(j, comp.kind, comp.center, scale, offset))
+    oj = outer_index(components)
+    if oj is not None and spec.degrees[oj]:
+        out = components[oj]
+        maps.append(_BlockMap(oj, OUTER, out.center, out.radius, 0.0))
+    return maps
+
+
+def _block_variable(bmap: _BlockMap, z, preimages=None, owner=None):
+    """zeta of one block at the points z: the one place a block is mapped.
+
+    On rows whose ``owner`` is the block's slit itself, ``preimages`` (one per
+    row) replaces the map, which runs once, over the other rows.  Raises
+    DomainError at a disk's centre and, through the map, on a slit.
+    """
+    if bmap.kind == SLIT:
+        if owner is None or (rest := owner != bmap.j).all():
+            return unit_slit_inverse((z - bmap.center) / bmap.scale)
+        if not rest.any():
+            return preimages
+        w = preimages.copy()
+        w[rest] = unit_slit_inverse((z[rest] - bmap.center) / bmap.scale)
+        return w
+    zeta = z - bmap.center if bmap.scale is None else (z - bmap.center) / bmap.scale
+    if bmap.kind == DISK and np.count_nonzero(zeta) < z.size:
+        raise DomainError("expansion is singular at a component center")
+    return zeta
 
 
 def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None):
@@ -177,9 +192,10 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None
     point was sampled on and its sampling preimage.  On a slit's own rows the
     inverse map is two-valued and the stored preimage decides the side; every
     other row of a slit block goes through the map, which raises DomainError
-    for a point on that slit.  Rows of any mix of components can be stacked
-    into one call.  The matrix is Fortran-ordered, filled column by column from
-    _powers tables built the same way; a least-squares solve can factor it in place.
+    for a point on that slit; a row at a disk's centre raises it too.  Rows of
+    any mix of components can be stacked into one call.  The matrix is
+    Fortran-ordered, filled column by column from _powers tables built the
+    same way; a least-squares solve can factor it in place.
     """
     validate_spec(components, spec)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -193,20 +209,17 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None
     blocks = column_layout(components, spec)
     A = np.empty((z.shape[0], blocks[-1].stop), dtype=float, order="F")
     A[:, 0] = 1.0
-    for slot, j, zeta, offset in _local_coordinates(z, components, spec, preimages, owner):
-        A[:, 1 + slot] = np.log(np.abs(zeta)) + offset
-        _fill_pairs(A[:, blocks[slot]], 1.0 / zeta)
-    if blocks[-1].stop > blocks[-1].start:
-        out = components[outer_index(components)]
-        _fill_pairs(A[:, blocks[-1]], (z - out.center) / out.radius)
+    for slot, bmap in enumerate(_block_maps(components, spec)):
+        # t is the series variable: T_0 for the outer block, 1/zeta otherwise.
+        t = _block_variable(bmap, z, preimages, owner)
+        if bmap.kind != OUTER:
+            A[:, 1 + slot] = np.log(np.abs(t)) + bmap.offset
+            t = 1.0 / t
+        cols = A[:, blocks[slot]]  # the pairs (Re t^k, Im t^k), k = 1, 2, ...
+        p = _powers(t, cols.shape[1] // 2)
+        cols[:, ::2] = p.real
+        cols[:, 1::2] = p.imag
     return A
-
-
-def _fill_pairs(cols, t):
-    """Fill the column pairs (Re t^k, Im t^k), k = 1, 2, ..., of ``cols``."""
-    p = _powers(t, cols.shape[1] // 2)
-    cols[:, ::2] = p.real
-    cols[:, 1::2] = p.imag
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,10 +295,7 @@ _CHUNK_POINTS = 2048
 class _Block(NamedTuple):
     """One series block of an evaluation plan, in column order."""
 
-    kind: str  # DISK, SLIT or OUTER
-    center: complex
-    scale: complex | None  # see _local_scale; the radius r_0 for OUTER
-    offset: float  # log column offset; 0.0 for OUTER
+    map: _BlockMap
     d: float  # log coefficient d_j; 0.0 for OUTER
     c: np.ndarray  # c_k = a_k - i b_k, k = 1..degree
     kc: np.ndarray  # k c_k
@@ -296,25 +306,18 @@ class _Block(NamedTuple):
 def _evaluation_plan(exp: Expansion):
     """(blocks, tables): what _evaluate needs of an expansion, formed once.
 
-    ``blocks`` holds a _Block per inner component and one for an outer block
-    of positive degree, last.  Blocks of one degree share a power table;
-    ``tables[i]`` is (degree, rows) of table i, so no block's powers run past
-    its own degree.
+    ``blocks`` pairs each of _block_maps' maps with its coefficients.  Blocks
+    of one degree share a power table; ``tables[i]`` is (degree, rows) of
+    table i, so no block's powers run past its own degree.
     """
-    comps = exp.components
-    parts = [(comps[j], *_local_scale(comps[j], exp.spec.scaled), d, b)
-             for j, d, b in zip(inner_indices(comps), exp.log_coeffs, exp.blocks)]
-    if exp.blocks[-1].size:
-        out = comps[outer_index(comps)]
-        parts.append((out, out.radius, 0.0, 0.0, exp.blocks[-1]))
-    degrees = list(dict.fromkeys(b.size for *_, b in parts))
+    maps = _block_maps(exp.components, exp.spec)
+    degrees = list(dict.fromkeys(b.size for b in exp.blocks[: len(maps)]))
     rows = [0] * len(degrees)
     blocks = []
-    for comp, scale, offset, d, b in parts:
+    # zip stops at the last map: an outer block takes d = 0.0, an empty one is left out.
+    for bmap, d, b in zip(maps, [*exp.log_coeffs.tolist(), 0.0], exp.blocks):
         table, c = degrees.index(b.size), b.conj()
-        kind = OUTER if comp.role == OUTER else comp.kind
-        blocks.append(_Block(kind, comp.center, scale, offset, float(d), c,
-                             np.arange(1, b.size + 1) * c, table, rows[table]))
+        blocks.append(_Block(bmap, d, c, np.arange(1, b.size + 1) * c, table, rows[table]))
         rows[table] += 1
     return tuple(blocks), tuple(zip(degrees, rows))
 
@@ -376,40 +379,34 @@ def _evaluate_flat(exp: Expansion, z, want_u, want_fp):
     t = [np.empty((rows, z.size), dtype=complex) for _, rows in tables]
     logs, dlogs = [], []
     for blk in blocks:
-        ts = t[blk.table][blk.row]
-        if blk.kind == OUTER:
-            np.divide(z - blk.center, blk.scale, out=ts)
+        bmap, ts = blk.map, t[blk.table][blk.row]
+        zeta = _block_variable(bmap, z)
+        if bmap.kind == OUTER:
+            ts[:] = zeta
             continue
-        if blk.kind == DISK:
-            zc = z - blk.center
-            zeta = zc if blk.scale is None else zc / blk.scale
-            if np.count_nonzero(zeta) < z.size:
-                raise DomainError("expansion is singular at a component center")
-        else:
-            zeta = unit_slit_inverse((z - blk.center) / blk.scale)
         np.divide(1.0, zeta, out=ts)
         if want_u:
-            logs.append(blk.d * (np.log(np.abs(zeta)) + blk.offset))
+            logs.append(blk.d * (np.log(np.abs(zeta)) + bmap.offset))
         if want_fp:
-            if blk.kind == DISK:
-                dlogs.append(1.0 / zc)
+            if bmap.kind == DISK:
+                dlogs.append(1.0 / (z - bmap.center))
             else:
                 denom = 1.0 - ts * ts
                 if np.count_nonzero(np.abs(denom) < 1e-13):
                     raise DomainError("derivative is singular at a slit endpoint")
-                dlogs.append(2.0 / (blk.scale * denom * zeta))
+                dlogs.append(2.0 / (bmap.scale * denom * zeta))
     # One table of t, ..., t^n per degree n over its blocks' points, viewed
     # as (blocks, points, n) without a copy.
     p = [_powers(ti.reshape(-1), n).reshape(ti.shape + (n,)) for (n, _), ti in zip(tables, t)]
     # logs and dlogs hold the inner blocks, which come first.
     for i, blk in enumerate(blocks):
         pb = p[blk.table][blk.row]
-        if blk.kind == OUTER:
+        if blk.map.kind == OUTER:
             if want_u:
                 u += (pb @ blk.c).real
             if want_fp:
                 # d/dz t^k = k t^(k-1) / r_0: c_1 times t^0, then k c_k times t^(k-1)
-                fp += (blk.kc[0] + pb[:, :-1] @ blk.kc[1:]) / blk.scale
+                fp += (blk.kc[0] + pb[:, :-1] @ blk.kc[1:]) / blk.map.scale
             continue
         if want_u:
             u += logs[i] + (pb @ blk.c).real

@@ -174,7 +174,7 @@ def _directions(exp, z, status, want_u=False):
     and u = nan.
     """
     ok = status == _OK
-    todo = None if ok.all() else np.flatnonzero(ok)
+    todo = None if np.count_nonzero(ok) == ok.size else np.flatnonzero(ok)
     zt = z if todo is None else z[todo]
     if zt.size == 0:
         return np.zeros(z.shape, dtype=complex), np.full(z.shape, np.nan) if want_u else None
@@ -193,7 +193,7 @@ def _directions(exp, z, status, want_u=False):
     mag = np.abs(fp)
     good = mag >= 1e-12
     if todo is None:
-        if good.all():
+        if np.count_nonzero(good) == good.size:
             return np.conj(fp) / mag, ut
         todo = np.flatnonzero(ok)
     status[todo[mag < 1e-12]] = _STAGNANT
@@ -225,7 +225,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     window = opts.window or default_window(problem)
     tol, h_min = opts.step_tol, opts.h_min
     z = np.array(seeds, dtype=complex)
-    if ((first_hole(problem.components, z) >= 0) | ~_in_window(window, z)).any():
+    if np.count_nonzero((first_hole(problem.components, z) >= 0) | ~_in_window(window, z)):
         raise ValueError("streamline seed lies outside the domain")
     try:
         u, fp = _evaluate(exp, z, True, True)
@@ -248,14 +248,14 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
 
     mag = np.abs(fp)
     k1 = np.conj(fp) / np.where(mag < 1e-12, 1.0, mag)
-    if (flat := mag < 1e-12).any():
+    if np.count_nonzero(flat := mag < 1e-12):
         stop(flat, STEP_LIMIT, True)
     h = np.full(z.size, opts.h_max / 8.0)
     steps = np.zeros(z.size, dtype=int)
     while True:
-        if (capped := steps >= opts.max_steps).any():
+        if np.count_nonzero(capped := steps >= opts.max_steps):
             stop(capped & ~done, STEP_LIMIT, False)
-        if done.any():
+        if np.count_nonzero(done):
             keep = ~done
             line, z, u, k1, h, steps = line[keep], z[keep], u[keep], k1[keep], h[keep], steps[keep]
             done = done[keep]
@@ -279,11 +279,11 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
         accept = rest & ~cross & ~descend
         undefined = status == _UNDEFINED
         tiny = h <= 4.0 * h_min
-        if (bounce := cross & tiny).any():
+        if np.count_nonzero(bounce := cross & tiny):
             stop(bounce, HIT_BOUNDARY, False, crossed[bounce])
-        if (stuck := (undefined | descend) & tiny).any():
+        if np.count_nonzero(stuck := (undefined | descend) & tiny):
             stop(stuck, STEP_LIMIT, True)
-        if (flat := status == _STAGNANT).any():
+        if np.count_nonzero(flat := status == _STAGNANT):
             stop(flat, STEP_LIMIT, True)
         halve = (undefined | cross | descend) & ~tiny
         rejected[line[~accept & ~flat]] += 1
@@ -299,7 +299,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
         near = _near_component(problem, za, opts.delta_stop)
         hit = near >= 0
         left = ~hit & ~_in_window(window, za)
-        if hit.any() or left.any():
+        if np.count_nonzero(hit | left):
             stop(entries[hit], HIT_BOUNDARY, False, near[hit])
             stop(entries[left], LEFT_WINDOW, False)
     return [_polyline(p, *end, problem, int(r)) for p, end, r in zip(paths, ends, rejected)]

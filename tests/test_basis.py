@@ -21,7 +21,6 @@ from laplace_series import (
 from laplace_series.basis import (
     _CHUNK_POINTS,
     _evaluate,
-    _local_coordinates,
     _powers,
     column_count,
     column_labels,
@@ -130,6 +129,16 @@ def test_non_owned_row_on_a_slit_is_rejected():
         design_matrix(z, comps, spec, preimages=w, owner=wrong)
     with pytest.raises(ValueError, match="together"):
         design_matrix(z, comps, spec, owner=owner)
+
+
+@pytest.mark.parametrize("scaled", [True, False])
+def test_design_matrix_rejects_disk_center(scaled):
+    # The assembly maps a block as the evaluator does: a row at a disk's
+    # centre raises instead of giving log 0 and 1/0.
+    comps = (disk(1 + 1j, 0.5), slit(-2 + 0j, 0.7))
+    spec = ExpansionSpec(degrees=(3, 2), scaled=scaled)
+    with pytest.raises(DomainError, match="component center"):
+        design_matrix(np.array([3 + 0j, 1 + 1j]), comps, spec)
 
 
 def test_unscaled_power_column_value():
@@ -360,29 +369,60 @@ def evaluator_cases(disk1, slit1):
     ]
 
 
+def _reference_zeta(exp, comp, z):
+    """A block's variable from its component alone, as the module docstring
+    writes it: (z - c)/r or z - c for a disk, the inverse slit map for a slit."""
+    if comp.kind == "disk":
+        return (z - comp.center) / comp.radius if exp.spec.scaled else z - comp.center
+    return joukowski_inverse(comp.center, comp.halfspan, z)
+
+
+def _reference_terms(exp):
+    """(component, log coefficient, c_k = a_k - i b_k) per block, in column order."""
+    layout = column_layout(exp.components, exp.spec)
+    cs = [exp.vector[cols][::2] - 1j * exp.vector[cols][1::2] for cols in layout]
+    inner = [c for c in exp.components if c.role == "inner"]
+    outer = [c for c in exp.components if c.role == "outer"]
+    return list(zip(inner + outer, [*exp.log_coeffs, 0.0], cs))
+
+
+def _reference_u(exp, z):
+    """u from power tables, term by term as the module docstring writes it."""
+    u = np.full(z.shape, exp.constant)
+    if exp.source_strength != 0.0:
+        u += exp.source_strength * np.log(np.abs(z - exp.source))
+    for comp, d, c in _reference_terms(exp):
+        if comp.role == "outer":
+            u += (_powers((z - comp.center) / comp.radius, c.size) @ c).real
+            continue
+        zeta = _reference_zeta(exp, comp, z)
+        if comp.kind == "disk":
+            u += d * np.log(np.abs(z - comp.center))
+        else:
+            u += d * np.log(np.abs(zeta) * abs(comp.halfspan) / 2.0)
+        u += (_powers(1.0 / zeta, c.size) @ c).real
+    return u
+
+
 def _reference_fprime(exp, z):
     """f' from power tables, term by term as the module docstring writes it."""
     fp = np.zeros_like(z)
-    pairs = [exp.vector[cols] for cols in column_layout(exp.components, exp.spec)]
     if exp.source_strength != 0.0:
         fp += exp.source_strength / (z - exp.source)
-    for slot, j, zeta, _ in _local_coordinates(z, exp.components, exp.spec):
-        comp = exp.components[j]
+    for comp, d, c in _reference_terms(exp):
+        n = c.size
+        if comp.role == "outer":
+            if n:
+                t = (z - comp.center) / comp.radius
+                powers = np.concatenate([np.ones((z.size, 1)), _powers(t, n - 1)], axis=1)
+                fp += powers @ (np.arange(1, n + 1) * c) / comp.radius
+            continue
+        zeta = _reference_zeta(exp, comp, z)
         if comp.kind == "disk":
             dlog = 1.0 / (z - comp.center)
         else:
             dlog = 2.0 / (comp.halfspan * (1.0 - zeta**-2) * zeta)
-        n = exp.spec.degrees[j]
-        c = pairs[slot][::2] - 1j * pairs[slot][1::2]
-        fp += (exp.log_coeffs[slot] - _powers(1.0 / zeta, n) @ (np.arange(1, n + 1) * c)) * dlog
-    outer = [j for j, c in enumerate(exp.components) if c.role == "outer"]
-    n = exp.spec.degrees[outer[0]] if outer else 0
-    if n:
-        out = exp.components[outer[0]]
-        c = pairs[-1][::2] - 1j * pairs[-1][1::2]
-        t = (z - out.center) / out.radius
-        powers = np.concatenate([np.ones((z.size, 1)), _powers(t, n - 1)], axis=1)
-        fp += powers @ (np.arange(1, n + 1) * c) / out.radius
+        fp += (d - _powers(1.0 / zeta, n) @ (np.arange(1, n + 1) * c)) * dlog
     return fp
 
 
@@ -419,17 +459,23 @@ def test_powers_table():
     assert np.array_equal(_powers(t, 7)[:6, :4], exact[:6, :4])  # exact inputs stay exact
 
 
-def test_horner_matches_design_matrix(evaluator_cases):
+def test_evaluator_matches_design_matrix(evaluator_cases):
+    # The evaluator and the assembled columns against each other and against
+    # references that map each component themselves, to rounding.
+    def close(got, ref):
+        return np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
     for sol in evaluator_cases:
         exp = sol.expansion
         pts = domain_points(sol.problem, 200, seed=21)
         ref = design_matrix(pts, exp.components, exp.spec) @ exp.vector
         if exp.source_strength != 0.0:
             ref += exp.source_strength * np.log(np.abs(pts - exp.source))
-        u = eval_expansion(exp, pts)
-        assert np.all(np.abs(u - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
-        fp, fp_ref = complex_derivative(exp, pts), _reference_fprime(exp, pts)
-        assert np.all(np.abs(fp - fp_ref) <= 1e-13 * np.maximum(1.0, np.abs(fp_ref)))
+        u_ref, fp_ref = _reference_u(exp, pts), _reference_fprime(exp, pts)
+        u, fp = _evaluate(exp, pts, True, True)
+        assert close(eval_expansion(exp, pts), ref)
+        assert close(u, u_ref) and close(ref, u_ref)
+        assert close(complex_derivative(exp, pts), fp_ref) and close(fp, fp_ref)
 
 
 def test_scalar_and_array_evaluations_agree(evaluator_cases):

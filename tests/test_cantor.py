@@ -228,13 +228,13 @@ def test_each_slit_is_mapped_once_per_row_set(monkeypatch):
     # Counts calls, measures no time: the fit, each certificate block and the
     # symmetric fold map every slit once, not once per collocation block.
     calls = []
-    inverse = basis.joukowski_inverse
+    inverse = basis.unit_slit_inverse
 
-    def counting_inverse(center, halfspan, z):
-        calls.append(np.size(z))
-        return inverse(center, halfspan, z)
+    def counting_inverse(zc):
+        calls.append(np.size(zc))
+        return inverse(zc)
 
-    monkeypatch.setattr(basis, "joukowski_inverse", counting_inverse)
+    monkeypatch.setattr(basis, "unit_slit_inverse", counting_inverse)
     sol = solve_problem(cantor_problem(5), cantor_spec(5))
     assert len(calls) <= 5 * 32  # one per slit in the fit and in each of 4 certificate blocks
     calls.clear()
