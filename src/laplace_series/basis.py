@@ -168,16 +168,21 @@ def _block_variable(bmap: _BlockMap, z, preimages=None, owner=None):
     """zeta of one block at the points z: the one place a block is mapped.
 
     On rows whose ``owner`` is the block's slit itself, ``preimages`` (one per
-    row) replaces the map, which runs once, over the other rows.  Raises
+    row) replaces the map.  Those rows are found by index and set off the
+    slit before the map runs once over every row, so no mask of the other
+    rows is formed and z, ``preimages`` and ``owner`` are only read.  Raises
     DomainError at a disk's centre and, through the map, on a slit.
     """
     if bmap.kind == SLIT:
-        if owner is None or (rest := owner != bmap.j).all():
+        if owner is None:
             return unit_slit_inverse((z - bmap.center) / bmap.scale)
-        if not rest.any():
+        own = np.flatnonzero(owner == bmap.j)
+        if own.size == z.size:
             return preimages
-        w = preimages.copy()
-        w[rest] = unit_slit_inverse((z[rest] - bmap.center) / bmap.scale)
+        zc = (z - bmap.center) / bmap.scale
+        zc[own] = 2.0  # off the slit; the stored preimages replace these rows
+        w = unit_slit_inverse(zc)
+        w[own] = preimages[own]
         return w
     zeta = z - bmap.center if bmap.scale is None else (z - bmap.center) / bmap.scale
     if bmap.kind == DISK and np.count_nonzero(zeta) < z.size:

@@ -6,8 +6,10 @@ The samples of all components are stacked and the matrix is built by one
 design_matrix call, which maps each slit once.  The solve is a Householder
 QR of that Fortran-ordered matrix, factored in its own storage: LAPACK dgeqrf
 for fits narrower than QRT_COLUMNS, the recursive compact-WY dgeqrt for wider
-ones.  Column pivoting (LAPACK dgelsy) runs only on the small triangular
-factor, and only when that is too ill-conditioned to solve with directly.
+ones, in wider panels from QRT_WIDE_COLUMNS on.  The triangular factor is then
+packed into the head of the same storage and read there.  Column pivoting
+(LAPACK dgelsy) runs only on that small factor, and only when it is too
+ill-conditioned to solve with directly.
 Exterior problems hold sum(d_j) = -s exactly, which keeps the expansion
 regular at infinity: the last log coefficient is eliminated as -s minus the
 others before the solve and restored after it.  The solution vector, in
@@ -71,7 +73,7 @@ RANK_TOL = 1e-13
 # narrower ones by dgeqrf; see solve_least_squares.
 QRT_COLUMNS = 80
 QRT_BLOCK = 32
-QRT_WIDE_COLUMNS = 1024
+QRT_WIDE_COLUMNS = 512
 QRT_WIDE_BLOCK = 128
 
 
@@ -243,23 +245,29 @@ def solve_least_squares(A: np.ndarray, b: np.ndarray, overwrite_a: bool = False)
     and Gustavson (IBM J. Res. Dev. 44, 2000) in matrix-matrix products,
     where dgeqrf's panels are matrix-vector work (and dgeqrf runs unblocked
     below 128 columns); dgemqrt applies Q^T.  The panels are QRT_BLOCK (32)
-    columns wide, QRT_WIDE_BLOCK (128) from QRT_WIDE_COLUMNS (1024) columns
+    columns wide, QRT_WIDE_BLOCK (128) from QRT_WIDE_COLUMNS (512) columns
     on.  Both kernels leave R in the upper triangle.  The timings that set
     the switches are in CHANGES.md, under "Wide fits by recursive compact-WY
-    QR" and "wide QR panels for the deep Cantor fits".
+    QR", "wide QR panels for the deep Cantor fits" and "128-column panels
+    from 512 columns"; scripts/qr_kernels.py repeats them.
 
-    With c = Q^T b, x solves R x = c[:n] when LAPACK's dtrcon estimate of the
-    reciprocal 1-norm condition number of R is at least n*RANK_TOL, which
-    (as cond_2 <= n*cond_1) keeps cond_2(R) below 1/RANK_TOL up to the
+    Once c = Q^T b is formed the reflectors are spent, and _pack_triangle
+    moves R into the first n*n entries of the factored storage, where
+    dtrcon, dtrtrs and the fallback read it as an F-ordered n-by-n array
+    without a copy.  x solves R x = c[:n] when LAPACK's dtrcon estimate of
+    the reciprocal 1-norm condition number of R is at least n*RANK_TOL,
+    which (as cond_2 <= n*cond_1) keeps cond_2(R) below 1/RANK_TOL up to the
     estimate's accuracy.  Otherwise LAPACK's column-pivoting dgelsy runs on
     (R, c[:n]) with pivot threshold RANK_TOL.  Since ||Ax - b||^2 =
     ||Rx - c[:n]||^2 + ||c[n:]||^2 and Q changes no pivot choice, that is the
     minimum-norm, rank-truncated answer dgelsy gives on A itself, so
     duplicated or nearly dependent columns still give a finite minimizer.
 
-    A and b are left unchanged unless ``overwrite_a`` is true; then A's
-    storage may hold the factorization afterwards, and a Fortran-ordered
-    float64 A is factored in place, without a copy.
+    A and b are left unchanged unless ``overwrite_a`` is true.  Then a
+    Fortran-ordered float64 A is factored in place, without a copy, and
+    afterwards the first n*n entries of its storage, in column order, hold
+    R in their upper triangle (and leftover reflector entries below it); the
+    rest of A holds what the factorization left.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -267,7 +275,9 @@ def solve_least_squares(A: np.ndarray, b: np.ndarray, overwrite_a: bool = False)
         raise ValueError(f"need rows >= cols >= 1, got shape {A.shape}")
     if b.shape != A.shape[:1]:
         raise ValueError(f"right-hand side of shape {b.shape} does not match {A.shape[0]} rows")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    # A's min and max are finite exactly when every entry is, and unlike
+    # np.isfinite(A) they allocate nothing.
+    if not (math.isfinite(A.min()) and math.isfinite(A.max()) and np.isfinite(b).all()):
         raise ValueError("matrix and right-hand side must be finite")
     m, n = A.shape
     qr = np.asarray(A, order="F") if overwrite_a else np.array(A, order="F")
@@ -279,16 +289,42 @@ def solve_least_squares(A: np.ndarray, b: np.ndarray, overwrite_a: bool = False)
         panel = QRT_BLOCK if n < QRT_WIDE_COLUMNS else QRT_WIDE_BLOCK
         qr, t, _ = dgeqrt(panel, qr, overwrite_a=1)
         c, _ = dgemqrt(qr, t, b[:, None], "L", "T")
-    rcond, _ = dtrcon(qr[:n])
+    R = _pack_triangle(qr)
+    rcond, _ = dtrcon(R)
     if rcond >= n * RANK_TOL:
-        x, info = dtrtrs(qr, c, overwrite_b=1)
+        x, info = dtrtrs(R, c, overwrite_b=1)
     else:
         lwork = int(dgelsy_lwork(n, n, 1, RANK_TOL)[0])
-        _, x, _, _, info = dgelsy(np.triu(qr[:n]), c[:n], np.zeros(n, dtype=np.int32),
+        _, x, _, _, info = dgelsy(np.triu(R), c[:n], np.zeros(n, dtype=np.int32),
                                   RANK_TOL, lwork, overwrite_a=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"least-squares solve failed (LAPACK info {info})")
     return x[:n, 0]
+
+
+def _pack_triangle(qr: np.ndarray) -> np.ndarray:
+    """R, the first n rows of the factored m-by-n F-ordered qr, moved into the
+    first n*n entries of qr's own storage; returned as an F-ordered n-by-n view.
+
+    Column j moves from offset j*m to j*n, row j of the C-ordered view
+    ``head`` of those entries.  Columns [j, j1) go in one copy when
+    j1 <= j*m/n, since their new place then ends before column j's old one
+    begins; column 0 already sits in place.  So a copy takes j up to about
+    j*m/n, and the columns of R move in about log(n)/log(m/n) copies (4 at
+    4096 by 640).  A lone column whose new place overlaps its old one
+    (m < 2n) goes through numpy's buffer of n entries.  Entries below the
+    diagonal are left over from the reflectors; only the upper triangle is R.
+    """
+    m, n = qr.shape
+    if m == n:
+        return qr
+    head = qr.reshape(-1, order="F")[: n * n].reshape(n, n)
+    j = 1
+    while j < n:
+        j1 = min(n, max(j + 1, j * m // n))
+        head[j:j1] = qr[:n, j:j1].T
+        j = j1
+    return head.T
 
 
 def solve_with_log_sum(A: np.ndarray, b: np.ndarray, nlog: int, total: float) -> np.ndarray:

@@ -95,6 +95,24 @@ def test_owner_rows_match_per_component_calls(case):
     assert np.array_equal(shuffled, stacked[perm])
 
 
+@pytest.mark.parametrize("case", sorted(OWNER_CASES))
+def test_assembly_leaves_its_inputs_alone(case):
+    # A slit block sets its own rows off the slit in an array of its own, so
+    # z, preimages and owner are only read: with owners interleaved, with
+    # every row a slit's own (that slit's block returns the preimages), and
+    # with no row of any slit (the disk's and the outer circle's rows).
+    prob = OWNER_CASES[case]
+    comps, spec = prob.components, default_spec(prob, 5)
+    z, w, owner = _owner_nodes(prob)
+    blocks = [np.random.default_rng(4).permutation(z.shape[0])]
+    blocks += [np.flatnonzero(owner == j) for j in range(len(comps))]
+    for rows in blocks:
+        args = z[rows], w[rows], owner[rows]
+        before = [a.tobytes() for a in args]
+        design_matrix(args[0], comps, spec, preimages=args[1], owner=args[2])
+        assert [a.tobytes() for a in args] == before
+
+
 def test_owner_rows_take_the_stored_preimage():
     prob = OWNER_CASES["exterior"]
     comps, spec = prob.components, default_spec(prob, 5)

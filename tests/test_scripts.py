@@ -49,3 +49,13 @@ def test_cantor_study_prints_aitken_limit(tmp_path):
     # The sums settle near 0.362005 (Aitken over m = 6..8); three coarse
     # levels already land within 1e-4 of it.
     assert abs(limit - 0.362005) < 1e-4
+
+
+def test_qr_kernels_times_every_kernel_on_both_cantor_paths(tmp_path):
+    stdout = _run("qr_kernels.py", tmp_path, "--single", "3", "--max-level", "4", "--rounds", "1")
+    assert "dgeqrf   dgeqrt(32)  dgeqrt(128)" in stdout
+    assert "cantor4g 512x80" in stdout and "cantor4s 128x24" in stdout
+    rows = (tmp_path / "qr_kernels.csv").read_text().splitlines()
+    assert rows[0] == "source,rows,cols,kernel,round,seconds"
+    # Three single-solve fits and two Cantor fits, each timed once per kernel.
+    assert len(rows) == 1 + 5 * 3

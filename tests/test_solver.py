@@ -29,12 +29,14 @@ from laplace_series import solver
 from laplace_series.cantor import (
     _symmetric_measures,
     cantor_components,
+    cantor_measures,
     cantor_problem,
     cantor_spec,
 )
 from laplace_series.geometry import boundary_nodes, in_hole
 from laplace_series.solver import (
     QRT_COLUMNS,
+    QRT_WIDE_COLUMNS,
     RANK_TOL,
     FitReport,
     Solution,
@@ -183,8 +185,9 @@ def test_lstsq_duplicate_column_matches_reduced_system():
 def test_lstsq_rejects_bad_input():
     with pytest.raises(ValueError):
         solve_least_squares(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        solve_least_squares(np.array([[1.0], [np.inf]]), np.ones(2))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            solve_least_squares(np.array([[1.0], [bad]]), np.ones(2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -231,14 +234,20 @@ def fallbacks(monkeypatch):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Names of the QR kernels that factored each fit, in call order."""
+    """(name, panel) of the QR kernel that factored each fit, in call order;
+    the panel is dgeqrt's block size, None for dgeqrf."""
     calls = []
-    for name in ("dgeqrf", "dgeqrt"):
-        def counting(*args, _real=getattr(solver, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
 
-        monkeypatch.setattr(solver, name, counting)
+    def dgeqrf(*args, _real=solver.dgeqrf, **kwargs):
+        calls.append(("dgeqrf", None))
+        return _real(*args, **kwargs)
+
+    def dgeqrt(panel, *args, _real=solver.dgeqrt, **kwargs):
+        calls.append(("dgeqrt", panel))
+        return _real(panel, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "dgeqrf", dgeqrf)
+    monkeypatch.setattr(solver, "dgeqrt", dgeqrt)
     return calls
 
 
@@ -247,7 +256,8 @@ def _kernel(cols):
 
 
 @pytest.mark.parametrize(
-    "cols", [1, 31, 32, 33, QRT_COLUMNS - 1, QRT_COLUMNS, QRT_COLUMNS + 1, 200]
+    "cols", [1, 31, 32, 33, QRT_COLUMNS - 1, QRT_COLUMNS, QRT_COLUMNS + 1, 200,
+             QRT_WIDE_COLUMNS - 1, QRT_WIDE_COLUMNS]
 )
 def test_both_qr_paths_match_scipy_lstsq(kernels, cols):
     # Gaussian matrices with twice as many rows as columns are well
@@ -257,7 +267,10 @@ def test_both_qr_paths_match_scipy_lstsq(kernels, cols):
     b = rng.standard_normal(2 * cols + 20)
     x = solve_least_squares(A, b)
     assert np.max(np.abs(x - scipy.linalg.lstsq(A, b)[0])) <= 1e-12
-    assert kernels == [_kernel(cols)]
+    assert [name for name, _ in kernels] == [_kernel(cols)]
+    # 32-column panels up to the wide switch, 128-column panels from it on.
+    panel = {QRT_WIDE_COLUMNS - 1: 32, QRT_WIDE_COLUMNS: 128}.get(cols)
+    assert panel is None or kernels[0][1] == panel
 
 
 def test_assembled_fits_match_scipy_lstsq_on_both_sides_of_the_switch(kernels):
@@ -271,7 +284,17 @@ def test_assembled_fits_match_scipy_lstsq_on_both_sides_of_the_switch(kernels):
         assert np.max(np.abs(x - scipy.linalg.lstsq(A, b)[0])) <= 1e-12
         widths.append(A.shape[1])
     assert widths[0] < QRT_COLUMNS <= widths[1]
-    assert kernels == ["dgeqrf", "dgeqrt"]
+    assert [name for name, _ in kernels] == ["dgeqrf", "dgeqrt"]
+
+
+def test_cantor_fits_take_wide_panels_from_level_7(kernels):
+    # The level-7 general fit has 640 columns after the elimination and takes
+    # 128-column panels; the level-7 fold (192) stays on 32, the level-9
+    # fold (768) takes 128.
+    cantor_measures(7)
+    cantor_measures(7, use_symmetry=True)
+    cantor_measures(9, use_symmetry=True)
+    assert kernels == [("dgeqrt", 128), ("dgeqrt", 32), ("dgeqrt", 128)]
 
 
 def _rank_deficient_systems():
@@ -297,7 +320,7 @@ def test_fallback_matches_gelsy_on_the_full_matrix(fallbacks, kernels):
     # whichever kernel factored A.
     for k, (A, b) in enumerate(_rank_deficient_systems(), start=1):
         x = solve_least_squares(A, b)
-        assert kernels[-1] == _kernel(A.shape[1])
+        assert kernels[-1][0] == _kernel(A.shape[1])
         want = scipy.linalg.lstsq(A, b, cond=RANK_TOL, lapack_driver="gelsy")[0]
         assert np.max(np.abs(x - want)) <= 1e-12
         assert abs(np.linalg.norm(A @ x - b) - np.linalg.norm(A @ want - b)) <= 1e-12
@@ -314,8 +337,10 @@ def test_fallback_stays_off_on_well_posed_fits(fallbacks, disk1, slit1, three_di
 
 def test_log_sum_solve_factors_in_place(kernels):
     # Counts bytes, times nothing: the solve allocates no copy of the matrix,
-    # on either side of QRT_COLUMNS.  After the elimination the level-5 fit
-    # has 160 columns (dgeqrt) and the three-component one 63 (dgeqrf).
+    # of its triangular factor or of an entry-by-entry mask, on either side
+    # of QRT_COLUMNS.  After the elimination the level-5 fit has 160 columns
+    # (dgeqrt; its T and workspace are 0.06 of the matrix) and the
+    # three-component one 63 (dgeqrf).  R alone would be 0.15 of the first.
     narrow = green_problem([disk(-3 + 3j, 1.0), disk(3 + 3j, 1.0), slit(3 - 3j, 1 + 0.5j)])
     cases = (
         (cantor_problem(5), cantor_spec(5), None),
@@ -330,8 +355,70 @@ def test_log_sum_solve_factors_in_place(kernels):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * nbytes
-    assert kernels == ["dgeqrt", "dgeqrf"]
+        assert peak < 0.1 * nbytes
+    assert [name for name, _ in kernels] == ["dgeqrt", "dgeqrf"]
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """(factor, Q^T b) as each solve formed them, copied before R is packed:
+    the Q^T b kernels are the last to read the unpacked factor."""
+    seen = []
+
+    def dormqr(side, trans, qr, *args, _real=solver.dormqr, **kwargs):
+        out = _real(side, trans, qr, *args, **kwargs)
+        seen.append((qr.copy(order="F"), out[0].copy()))
+        return out
+
+    def dgemqrt(qr, *args, _real=solver.dgemqrt, **kwargs):
+        out = _real(qr, *args, **kwargs)
+        seen.append((qr.copy(order="F"), out[0].copy()))
+        return out
+
+    monkeypatch.setattr(solver, "dormqr", dormqr)
+    monkeypatch.setattr(solver, "dgemqrt", dgemqrt)
+    return seen
+
+
+def _packing_rows(n):
+    """Row counts of the fits with n columns: n, n+1, 2n-1, 2n and 6n."""
+    return sorted({n, n + 1, 2 * n - 1, 2 * n, 6 * n})
+
+
+@pytest.mark.parametrize("n", [1, 7, QRT_COLUMNS, QRT_WIDE_COLUMNS + 8])
+def test_triangular_factor_is_packed_where_it_was_factored(factors, n):
+    # With overwrite_a the solve moves R into the first n*n entries of A's
+    # own F-ordered storage, column by column, and reads it there: the
+    # packed upper triangle is the unpacked factor's, and x is dtrtrs on the
+    # unpacked factor bit for bit.
+    rng = np.random.default_rng(n)
+    for m in _packing_rows(n):
+        A = np.asfortranarray(rng.standard_normal((m, n)))
+        x = solve_least_squares(A, rng.standard_normal(m), overwrite_a=True)
+        qr, c = factors[-1]
+        packed = A.reshape(-1, order="F")[: n * n].reshape((n, n), order="F")
+        assert np.triu(packed).tobytes() == np.triu(qr[:n]).tobytes()
+        want, info = scipy.linalg.lapack.dtrtrs(qr, c)
+        assert info == 0 and x.tobytes() == want[:n, 0].tobytes()
+    assert len(factors) == len(_packing_rows(n))
+
+
+@pytest.mark.parametrize("n", [QRT_COLUMNS, QRT_WIDE_COLUMNS + 8])
+def test_triangular_factor_is_not_copied(n):
+    # Counts bytes, times nothing: no n-by-n array is allocated, where the
+    # f2py copy of R took n*n*8 bytes.  Below QRT_COLUMNS fixed-size objects
+    # outweigh n*n*8 bytes, so the narrow sizes are left to the packing test.
+    rng = np.random.default_rng(n)
+    for m in _packing_rows(n):
+        A = np.asfortranarray(rng.standard_normal((m, n)))
+        b = rng.standard_normal(m)
+        tracemalloc.start()
+        try:
+            solve_least_squares(A, b, overwrite_a=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 def test_disk1_paper_digits():
