@@ -10,11 +10,15 @@ The domain is open.  Each component's hole is the closed set it removes from
 the plane: an inner disk's closed disk, a slit's closed segment, or the outer
 disk's circle and everything outside it.  in_hole and first_hole decide
 membership, exactly and without a tolerance; every other module asks them.
+near_slit adds the one tolerance, a few units of rounding scaled to the
+slit, by which a problem rejects a source that rounding put beside a slit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +117,28 @@ def on_slit(center: complex, halfspan: complex, z):
     return _on_unit_slit((np.asarray(z, dtype=complex) - center) / halfspan)
 
 
+# A point computed as center + halfspan*t, for real t in [-1, 1], lands
+# within about one unit of rounding of |center| + |halfspan| of the slit
+# (0.93 units at most in zc = (z - center)/halfspan, scaled by |halfspan|,
+# over 10^6 such points on random slits); near_slit allows this many.
+_NEAR_SLIT_ULPS = 8.0
+
+
+def near_slit(component: BoundaryComponent, z: complex) -> bool:
+    """True when the point z lies on the slit or within rounding of it.
+
+    In zc = (z - center)/halfspan, as on_slit takes it, that is |Im zc| <= tol
+    and |Re zc| <= 1 + tol, with tol _NEAR_SLIT_ULPS units of rounding of
+    |center| + |halfspan|, divided by |halfspan|: the tolerance scales with
+    the slit, not with the plane.  Such a point may lie outside the slit's
+    hole by rounding alone.
+    """
+    zc = (complex(z) - component.center) / component.halfspan
+    h = abs(component.halfspan)
+    tol = _NEAR_SLIT_ULPS * sys.float_info.epsilon * (abs(component.center) + h) / h
+    return abs(zc.imag) <= tol and abs(zc.real) <= 1.0 + tol
+
+
 def joukowski_inverse(center: complex, halfspan: complex, z):
     """Invert the slit map, returning the preimage with |w| > 1.
 
@@ -147,18 +173,35 @@ def boundary_nodes(component: BoundaryComponent, npts: int, offset: float = None
     preimages away from w = +-1 (the endpoints) and lets the upper and lower
     halves of the circle cover the two sides of the slit, told apart by their
     conjugate preimages.  Each slit point is the forward image of its preimage.
+    The preimages are the unit grid itself, shared by every component sampled
+    with the same npts and offset (see _unit_grid), so they are read-only.
     """
     if npts <= 0:
         raise ValueError(f"npts must be >= 1, got {npts}")
     if offset is None:
         offset = 0.5 if component.kind == SLIT else 0.0
-    theta = 2.0 * np.pi * (np.arange(npts) + offset) / npts
-    w = np.exp(1j * theta)
+    w = _unit_grid(int(npts), float(offset))
     if component.kind == DISK:
         z = component.center + component.radius * w
     else:
         z = joukowski_forward(component.center, component.halfspan, w)
     return z, w
+
+
+@functools.lru_cache(maxsize=128)
+def _unit_grid(npts: int, offset: float) -> np.ndarray:
+    """The read-only unit-circle points exp(2*pi*i*(k + offset)/npts), k < npts.
+
+    Solves draw their fit and check grids from a few dozen (npts, offset)
+    pairs (default_npts gives one count per degree), so each grid is computed
+    once and kept, as FFT libraries keep their twiddle factors.  A degree
+    takes at most four grids (fit and check, disk and slit), so 128 hold
+    those of 32 degrees.
+    """
+    theta = 2.0 * np.pi * (np.arange(npts) + offset) / npts
+    w = np.exp(1j * theta)
+    w.flags.writeable = False
+    return w
 
 
 def segment_distance(a: complex, b: complex, z) -> float:

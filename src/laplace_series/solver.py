@@ -15,9 +15,10 @@ regular at infinity: the last log coefficient is eliminated as -s minus the
 others before the solve and restored after it.  The solution vector, in
 design_matrix column order, is the expansion's one stored copy of its
 coefficients.  The a-posteriori certificate is the maximum boundary misfit
-on a finer, offset sample grid: each row block, no taller than the fit
-matrix (or the largest component grid), is multiplied by that vector.  By
-the maximum principle it bounds the solution error throughout the domain.
+on a finer, offset sample grid: each row block, at most BLOCK_BUDGET bytes
+of basis matrix unless the fit matrix (or the largest component grid) is
+taller, is multiplied by that vector, so most small solves check in one block.
+By the maximum principle it bounds the solution error throughout the domain.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .geometry import (
     first_hole,
     first_overlap,
     inside_disk,
+    near_slit,
 )
 
 EXTERIOR = "exterior"
@@ -71,10 +73,16 @@ RANK_TOL = 1e-13
 # Fits with at least this many columns are factored by dgeqrt in panels of
 # QRT_BLOCK columns (QRT_WIDE_BLOCK from QRT_WIDE_COLUMNS columns on),
 # narrower ones by dgeqrf; see solve_least_squares.
-QRT_COLUMNS = 80
+QRT_COLUMNS = 64
 QRT_BLOCK = 32
 QRT_WIDE_COLUMNS = 512
 QRT_WIDE_BLOCK = 128
+
+# A certificate row block holds at most this many bytes of basis matrix
+# (2**17 float64 entries, the 1 MB that also bounds a basis._CHUNK_POINTS
+# power table), unless the fit matrix or one component's check grid is
+# taller; see boundary_residual.
+BLOCK_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -124,8 +132,13 @@ class Problem:
                     raise GeometryError(
                         f"components[{j}] does not lie strictly inside the outer disk"
                     )
-        if self.source is not None and (j := first_hole(comps, self.source)) >= 0:
+        if self.source is None:
+            return
+        if (j := first_hole(comps, self.source)) >= 0:
             raise GeometryError(f"the source point lies in the hole of components[{j}]")
+        for j, comp in enumerate(comps):
+            if comp.kind == SLIT and near_slit(comp, self.source):
+                raise GeometryError(f"the source point lies within rounding of components[{j}]")
 
     @property
     def source_strength(self) -> float:
@@ -239,7 +252,7 @@ def assemble_system(problem: Problem, spec: ExpansionSpec, npts: Sequence[int]):
 def solve_least_squares(A: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Minimize ||Ax - b||_2 by Householder QR, A = QR.
 
-    Fits narrower than QRT_COLUMNS (80) are factored by LAPACK dgeqrf, and
+    Fits narrower than QRT_COLUMNS (64) are factored by LAPACK dgeqrf, and
     Q^T b is formed by the unblocked dorm2r.  Wider fits are factored by
     dgeqrt, which does each panel by the recursive compact-WY QR of Elmroth
     and Gustavson (IBM J. Res. Dev. 44, 2000) in matrix-matrix products,
@@ -248,8 +261,9 @@ def solve_least_squares(A: np.ndarray, b: np.ndarray, overwrite_a: bool = False)
     columns wide, QRT_WIDE_BLOCK (128) from QRT_WIDE_COLUMNS (512) columns
     on.  Both kernels leave R in the upper triangle.  The timings that set
     the switches are in CHANGES.md, under "Wide fits by recursive compact-WY
-    QR", "wide QR panels for the deep Cantor fits" and "128-column panels
-    from 512 columns"; scripts/qr_kernels.py repeats them.
+    QR", "wide QR panels for the deep Cantor fits", "128-column panels from
+    512 columns" and "compact-WY QR from 64 columns"; scripts/qr_kernels.py
+    repeats them.
 
     Once c = Q^T b is formed the reflectors are spent, and _pack_triangle
     moves R into the first n*n entries of the factored storage, where
@@ -374,8 +388,12 @@ def boundary_residual(solution: Solution, nfine) -> float:
     """Max |u - g| over fresh boundary samples offset from the fit grid.
 
     The samples of all components are stacked and evaluated in contiguous
-    blocks as tall as the fit matrix (or the largest component grid, if
-    that is taller), so the check holds no larger matrix than the fit did.
+    row blocks of at most BLOCK_BUDGET (1 MB) of basis matrix, or as tall as
+    the fit matrix or the largest component grid if either is taller.  So
+    the check holds no larger matrix than max(fit matrix, 1 MB), and a check
+    matrix under 1 MB is one block.  The block height moves no certificate:
+    BLAS sums each row's product with the coefficients in the same order
+    however tall the block is (tests/test_solver.py checks it bit for bit).
     """
     problem = solution.problem
     comps = problem.components
@@ -392,7 +410,7 @@ def boundary_residual(solution: Solution, nfine) -> float:
         boundary_nodes(comp, n, _CHECK_OFFSET[comp.kind]) for comp, n in zip(comps, nfine)
     ])
     coeffs = solution.expansion.vector
-    block = max(solution.fit_report.rows, *nfine)
+    block = max(solution.fit_report.rows, *nfine, BLOCK_BUDGET // coeffs.nbytes)
     worst = 0.0
     for start in range(0, z.shape[0], block):
         rows = slice(start, start + block)

@@ -183,6 +183,22 @@ def test_slit_sampling_two_sides():
     assert np.all(w[:2].imag > 0) and np.all(w[2:].imag < 0)
 
 
+def test_preimages_are_one_cached_read_only_grid():
+    for comp, offset, want in ((disk(2 + 1j, 0.5), None, 0.0), (slit(0, 1), None, 0.5),
+                               (slit(3, 1j), 0.25, 0.25), (disk(0, 2.0), 0.5, 0.5)):
+        z, w = boundary_nodes(comp, 40, offset)
+        fresh = np.exp(1j * (2.0 * np.pi * (np.arange(40) + want) / 40))
+        assert w.tobytes() == fresh.tobytes()
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        again, same = boundary_nodes(comp, 40, offset)
+        assert same is w
+        assert again is not z and z.flags.writeable  # the points are the caller's own
+    # One count and offset give one grid, whichever component is sampled.
+    assert boundary_nodes(slit(5, 2j), 40)[1] is boundary_nodes(disk(0, 1.0), 40, 0.5)[1]
+
+
 def test_sampling_rejects_bad_counts():
     with pytest.raises(ValueError):
         boundary_nodes(disk(0, 1.0), 0)

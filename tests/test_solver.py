@@ -106,6 +106,29 @@ def test_problem_validation():
     Problem((outer, disk(0.5, 0.2)), "bounded", 1.9, (0.0, 0.0))
 
 
+def test_source_within_rounding_of_a_slit_is_rejected():
+    c, h = 3 + 1j, 1 - 0.5j
+    source = c + 0.3 * h  # 2.2e-16 off the slit, so not in its hole
+    assert not in_hole(slit(c, h), source)
+    with pytest.raises(GeometryError, match=r"source point lies within rounding of components\[0\]"):
+        green_problem([slit(c, h)], source=source)
+    # Points c + h*t on random slits of any scale, computed in floating
+    # point, fall on the slit or within rounding of it, and both are
+    # rejected; 1e-12 (|c| + |h|) off the slit, about 4,500 units of
+    # rounding, a source is accepted.
+    rng = np.random.default_rng(21)
+    beside = 0
+    for _ in range(500):
+        c = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-3, 3)
+        h = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-3, 3)
+        source = c + h * rng.uniform(-1.0, 1.0)
+        beside += not in_hole(slit(c, h), source)
+        with pytest.raises(GeometryError, match=r"source point lies .*components\[1\]"):
+            green_problem([disk(c + 4 * abs(h), abs(h)), slit(c, h)], source=source)
+        green_problem([slit(c, h)], source=source + 1e-12 * (abs(c) + abs(h)) * 1j * h / abs(h))
+    assert beside > 100
+
+
 def test_sample_on_another_slit_names_both_components():
     # The disk's leftmost samples round onto the slit 1e-12 away.  The sample
     # check names both components instead of letting the slit's inverse map
@@ -255,9 +278,11 @@ def _kernel(cols):
     return "dgeqrt" if cols >= QRT_COLUMNS else "dgeqrf"
 
 
+# 79 to 81: the last of the 64-79-column fits that dgeqrt takes from QRT_COLUMNS
+# on, and the widths past them.
 @pytest.mark.parametrize(
-    "cols", [1, 31, 32, 33, QRT_COLUMNS - 1, QRT_COLUMNS, QRT_COLUMNS + 1, 200,
-             QRT_WIDE_COLUMNS - 1, QRT_WIDE_COLUMNS]
+    "cols", [1, 31, 32, 33, QRT_COLUMNS - 1, QRT_COLUMNS, QRT_COLUMNS + 1, 79, 80, 81,
+             200, QRT_WIDE_COLUMNS - 1, QRT_WIDE_COLUMNS]
 )
 def test_both_qr_paths_match_scipy_lstsq(kernels, cols):
     # Gaussian matrices with twice as many rows as columns are well
@@ -277,14 +302,14 @@ def test_assembled_fits_match_scipy_lstsq_on_both_sides_of_the_switch(kernels):
     inner = (disk(-3 + 3j, 1.0), disk(3 + 3j, 1.0), slit(3 - 3j, 1 + 0.5j))
     prob = Problem((disk(0, 8.0, role="outer"), *inner), "bounded", None, (0.0, 1.0, -1.0, 0.5))
     widths = []
-    for degree in (8, 14):  # 68 and 116 columns
+    for degree in (7, 8, 14):  # 60, 68 and 116 columns
         spec = default_spec(prob, degree=degree)
         A, b = assemble_system(prob, spec, default_npts(spec))
         x = solve_least_squares(A, b)
         assert np.max(np.abs(x - scipy.linalg.lstsq(A, b)[0])) <= 1e-12
         widths.append(A.shape[1])
-    assert widths[0] < QRT_COLUMNS <= widths[1]
-    assert [name for name, _ in kernels] == ["dgeqrf", "dgeqrt"]
+    assert widths[0] < QRT_COLUMNS <= widths[1] < 80 <= widths[2]
+    assert [name for name, _ in kernels] == ["dgeqrf", "dgeqrt", "dgeqrt"]
 
 
 def test_cantor_fits_take_wide_panels_from_level_7(kernels):
@@ -385,7 +410,7 @@ def _packing_rows(n):
     return sorted({n, n + 1, 2 * n - 1, 2 * n, 6 * n})
 
 
-@pytest.mark.parametrize("n", [1, 7, QRT_COLUMNS, QRT_WIDE_COLUMNS + 8])
+@pytest.mark.parametrize("n", [1, 7, QRT_COLUMNS, 80, QRT_WIDE_COLUMNS + 8])
 def test_triangular_factor_is_packed_where_it_was_factored(factors, n):
     # With overwrite_a the solve moves R into the first n*n entries of A's
     # own F-ordered storage, column by column, and reads it there: the
@@ -403,11 +428,13 @@ def test_triangular_factor_is_packed_where_it_was_factored(factors, n):
     assert len(factors) == len(_packing_rows(n))
 
 
-@pytest.mark.parametrize("n", [QRT_COLUMNS, QRT_WIDE_COLUMNS + 8])
+@pytest.mark.parametrize("n", [80, QRT_WIDE_COLUMNS + 8])
 def test_triangular_factor_is_not_copied(n):
     # Counts bytes, times nothing: no n-by-n array is allocated, where the
-    # f2py copy of R took n*n*8 bytes.  Below QRT_COLUMNS fixed-size objects
-    # outweigh n*n*8 bytes, so the narrow sizes are left to the packing test.
+    # f2py copy of R took n*n*8 bytes.  Below about 80 columns fixed-size
+    # objects (dgeqrt's T and workspace at QRT_COLUMNS = 64, dgeqrf's below
+    # it) outweigh n*n*8 bytes, so the narrow sizes are left to the packing
+    # test.
     rng = np.random.default_rng(n)
     for m in _packing_rows(n):
         A = np.asfortranarray(rng.standard_normal((m, n)))
@@ -446,6 +473,80 @@ def test_residual_certificate_values(disk1):
     assert disk1.residual < 1e-7
     fine = boundary_residual(disk1, 1000)
     assert fine < 1e-7
+
+
+@pytest.fixture(scope="module")
+def bounded_mixed():
+    comps = (disk(0, 5.0, role="outer"), disk(-2 + 1j, 0.7), slit(2 - 1j, 1 + 0.4j))
+    prob = Problem(comps, "bounded", None, (0.3, 1.0, -0.5))
+    return solve_problem(prob, default_spec(prob, degree=10))
+
+
+def _certificate(monkeypatch, sol, budget):
+    """(certificate on the 4x grid, rows of each design_matrix block) under
+    BLOCK_BUDGET = budget."""
+    blocks = []
+
+    def design_matrix(z, *args, _real=solver.design_matrix, **kwargs):
+        blocks.append(z.size)
+        return _real(z, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "design_matrix", design_matrix)
+        patch.setattr(solver, "BLOCK_BUDGET", budget)
+        return boundary_residual(sol, [4 * n for n in sol.fit_report.npts]), blocks
+
+
+@pytest.mark.parametrize("name", ["three_disks", "bounded_mixed", "two_slits"])
+def test_certificate_does_not_depend_on_the_block_budget(request, monkeypatch, name):
+    # A budget of three rows leaves blocks as tall as the fit matrix or the
+    # largest check grid; a huge one puts every row in one block.  Each row's
+    # product with the coefficients is the same in any block, so the
+    # certificate is the same bit for bit.
+    sol = request.getfixturevalue(name)
+    nfine = [4 * n for n in sol.fit_report.npts]
+    short, short_blocks = _certificate(monkeypatch, sol, 3 * sol.expansion.vector.nbytes)
+    tall, tall_blocks = _certificate(monkeypatch, sol, 1 << 40)
+    assert short == tall == sol.residual
+    assert len(short_blocks) > 1 and max(short_blocks) == max(sol.fit_report.rows, *nfine)
+    assert tall_blocks == [sum(nfine)]
+
+
+@pytest.mark.parametrize("level", [None, 5])
+def test_certificate_blocks_stay_within_the_budget(monkeypatch, level):
+    # Counts bytes, times nothing.  A block holds at most max(fit matrix,
+    # BLOCK_BUDGET) of basis matrix: 1 MB for the three-component degree-20
+    # fit (0.48 MB), the 1.3 MB fit matrix itself at Cantor level 5.  Both
+    # check matrices are larger (1.9 and 5.3 MB), so one block over all rows
+    # would not pass.  Besides its block (and the powers that fill it, no
+    # larger) the certificate holds only its stacked samples: z, w, owner
+    # and data, 48 bytes a row.
+    if level is None:
+        prob = green_problem([disk(2 + 1j, 0.5), slit(-2 - 1j, 1 + 0.5j), disk(-2 + 2j, 0.3)])
+        spec = default_spec(prob, degree=20)
+    else:
+        prob, spec = cantor_problem(level), cantor_spec(level)
+    sol = solve_problem(prob, spec)
+    fit = sol.fit_report.rows * sol.fit_report.cols * 8
+    bound = max(fit, solver.BLOCK_BUDGET)
+    nfine = [4 * n for n in sol.fit_report.npts]
+    held = []
+
+    def design_matrix(*args, _real=solver.design_matrix, **kwargs):
+        A = _real(*args, **kwargs)
+        held.append(A.nbytes)
+        return A
+
+    monkeypatch.setattr(solver, "design_matrix", design_matrix)
+    tracemalloc.start()
+    try:
+        boundary_residual(sol, nfine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(held) == sum(nfine) * sol.fit_report.cols * 8 > bound
+    assert max(held) <= bound
+    assert peak <= 2 * bound + 48 * sum(nfine)
 
 
 def test_identity_fit_has_machine_residual():
