@@ -128,9 +128,10 @@ def _powers(t: np.ndarray, n: int) -> np.ndarray:
     """
     p = np.empty((n, t.shape[0]), dtype=complex)
     if n:
-        p[0] = t
-    for k in range(1, n):
-        np.multiply(p[k - 1], t, p[k])
+        p[0] = prev = t
+    # Each row is the one before times t, walked without indexing p again.
+    for row in p[1:]:
+        prev = np.multiply(prev, t, out=row)
     return p.T
 
 
@@ -169,9 +170,10 @@ def _block_variable(bmap: _BlockMap, z, preimages=None, owner=None):
 
     On rows whose ``owner`` is the block's slit itself, ``preimages`` (one per
     row) replaces the map.  Those rows are found by index and set off the
-    slit before the map runs once over every row, so no mask of the other
-    rows is formed and z, ``preimages`` and ``owner`` are only read.  Raises
-    DomainError at a disk's centre and, through the map, on a slit.
+    real axis, so off the slit, before the map runs once over every row, so
+    no mask of the other rows is formed and z, ``preimages`` and ``owner``
+    are only read.  Raises DomainError at a disk's centre and, through the
+    map, on a slit.
     """
     if bmap.kind == SLIT:
         if owner is None:
@@ -180,7 +182,9 @@ def _block_variable(bmap: _BlockMap, z, preimages=None, owner=None):
         if own.size == z.size:
             return preimages
         zc = (z - bmap.center) / bmap.scale
-        zc[own] = 2.0  # off the slit; the stored preimages replace these rows
+        # Off the real axis, so the map's on-slit test is not run for these
+        # rows; the stored preimages replace them.
+        zc[own] = 2j
         w = unit_slit_inverse(zc)
         w[own] = preimages[own]
         return w
@@ -359,6 +363,8 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
                  for part in np.array_split(flat, chunks)]
         u = np.concatenate([p[0] for p in parts]) if want_u else None
         fp = np.concatenate([p[1] for p in parts]) if want_fp else None
+    if za.ndim == 1:
+        return u, fp
     if za.ndim == 0:
         return (None if u is None else float(u[0]), None if fp is None else complex(fp[0]))
     return (None if u is None else u.reshape(za.shape),

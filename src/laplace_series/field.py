@@ -8,7 +8,11 @@ vectorized evaluation per stage for every live line; the last stage gives u
 and f' at the step end from one call.  A stage point where the field is
 undefined is found by the evaluator's DomainError, and only its own line is
 marked.  The proximity stop maps points through a slit's inverse map only
-inside the ellipse the stop distance defines.  Equipotentials come from
+inside the ellipse the stop distance defines.  Each line carries a lower
+bound on its distance to every boundary, as sphere tracing does (Hart, The
+Visual Computer 12, 1996), so the crossing test runs only for steps that
+could reach a boundary and the proximity test only for points that could be
+near one; a skipped test would have found nothing.  Equipotentials come from
 marching squares on a masked grid rather than ODE tracing, which sidesteps
 branch bookkeeping when the topology changes.  Contour vertices are
 grid-edge crossings, computed only for the edges of each level's chains, so
@@ -17,6 +21,7 @@ joins are exact at any scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -99,8 +104,22 @@ def _in_window(window, z):
     return (x0 <= z.real) & (z.real <= x1) & (y0 <= z.imag) & (z.imag <= y1)
 
 
+def _stop_reach(comp, delta: float) -> float:
+    """The farthest a point the proximity stop calls near ``comp`` can lie from
+    it: delta for a disk, |h| sinh(delta/|h|) (1 + 1e-6) for a slit (see
+    _near_component)."""
+    if comp.kind != SLIT:
+        return delta
+    span = abs(comp.halfspan)
+    rho = delta / span
+    # (math.sinh overflows past 710.)
+    return span * math.sinh(rho) * (1.0 + 1e-6) if rho < 700.0 else math.inf
+
+
 def _near_component(problem, z, delta: float):
-    """Index of the first component whose boundary is within delta of each z, else -1.
+    """(near, clearance): the index of the first component whose boundary is
+    within delta of each z, else -1, and the distance from each z to the
+    nearest boundary (inf without components).
 
     Slits get a second proximity test through the preimage w: the
     angle-plane coordinate log|w| vanishes on the slit and scales like
@@ -114,31 +133,29 @@ def _near_component(problem, z, delta: float):
     at a squared distance (|h| (cosh rho |cos theta| - 1))^2 +
     (|h| sinh rho sin theta)^2, which is at most (|h| sinh rho)^2 because
     cosh rho - sinh rho = e^-rho <= 1.  A point farther than
-    |h| sinh(rho) (1 + 1e-6) from the slit is therefore outside the ellipse
-    of asinh(sinh(rho) (1 + 1e-6)), about rho + 1e-6 tanh rho.  That margin
-    is some 10^9 ulps of rho for small rho and never below 10^6, and in
-    distance it is 1e-6 of the reach, far beyond the rounding of the map
-    and of the distance while delta is above about 1e-9 of the coordinates'
-    size, so skipping such points changes no answer.
+    |h| sinh(rho) (1 + 1e-6) (_stop_reach) from the slit is therefore outside
+    the ellipse of asinh(sinh(rho) (1 + 1e-6)), about rho + 1e-6 tanh rho.
+    That margin is some 10^9 ulps of rho for small rho and never below 10^6,
+    and in distance it is 1e-6 of the reach, far beyond the rounding of the
+    map and of the distance while delta is above about 1e-9 of the
+    coordinates' size, so skipping such points changes no answer.
     """
     near = np.full(z.shape, -1)
+    clearance = np.full(z.shape, math.inf)
     # Later components go first, so each point keeps the first one's index.
     for j in reversed(range(len(problem.components))):
         comp = problem.components[j]
         dist = boundary_distance(comp, z)
+        np.minimum(clearance, dist, out=clearance)
         hit = dist < delta
         if comp.kind == SLIT:
             hit |= in_hole(comp, z)
-            span = abs(comp.halfspan)
-            rho = delta / span
-            # (math.sinh overflows past 710.)
-            reach = span * math.sinh(rho) * (1.0 + 1e-6) if rho < 700.0 else math.inf
-            inside = np.flatnonzero(~hit & (dist <= reach))
+            inside = np.flatnonzero(~hit & (dist <= _stop_reach(comp, delta)))
             if inside.size:
                 w = joukowski_inverse(comp.center, comp.halfspan, z[inside])
-                hit[inside] = np.log(np.abs(w)) < rho
+                hit[inside] = np.log(np.abs(w)) < delta / abs(comp.halfspan)
         near[hit] = j
-    return near
+    return near, clearance
 
 
 def _crossed_boundary(problem, a, b):
@@ -173,8 +190,8 @@ def _directions(exp, z, status, want_u=False):
     leaves the others running.  Lines that are not _OK get a zero direction
     and u = nan.
     """
-    ok = status == _OK
-    todo = None if np.count_nonzero(ok) == ok.size else np.flatnonzero(ok)
+    # status is all _OK unless an earlier stage of the pass failed a line.
+    todo = np.flatnonzero(status == _OK) if np.count_nonzero(status) else None
     zt = z if todo is None else z[todo]
     if zt.size == 0:
         return np.zeros(z.shape, dtype=complex), np.full(z.shape, np.nan) if want_u else None
@@ -188,14 +205,14 @@ def _directions(exp, z, status, want_u=False):
                 ut[n], fp[n] = _evaluate(exp, p, True, True)
             except DomainError:
                 pass
-        todo = np.flatnonzero(ok)
+        todo = np.flatnonzero(status == _OK)
         status[todo[np.isnan(fp)]] = _UNDEFINED
     mag = np.abs(fp)
     good = mag >= 1e-12
     if todo is None:
         if np.count_nonzero(good) == good.size:
             return np.conj(fp) / mag, ut
-        todo = np.flatnonzero(ok)
+        todo = np.arange(z.size)
     status[todo[mag < 1e-12]] = _STAGNANT
     todo = todo[good]
     k = np.zeros(z.shape, dtype=complex)
@@ -218,6 +235,27 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     counted per line.  Lines stop independently at a boundary, at the window
     edge, or at the step cap.  The state arrays hold the live lines only, in
     seed order, and are compacted after a pass that stops some.
+
+    Each line carries ``clear``, a lower bound on its distance to every
+    boundary: the distance _near_component computes at the seeds and
+    wherever the proximity test runs, less the length of each step accepted
+    since.  A step whose length times (1 + 1e-6) is below it stays in the
+    disk of radius ``clear`` about its start, which no boundary meets, so it
+    crosses none and ends in no hole: _crossed_boundary runs only for the
+    other steps.  An accepted point whose bound is above ``far``, (1 + 1e-6)
+    times the farthest reach of the stop (delta for a disk,
+    |h| sinh(delta/|h|) (1 + 1e-6) for a slit, see _stop_reach), is farther
+    than delta from every boundary and outside every slit's ellipse, so
+    _near_component runs only for the other points.  As with the ellipse
+    margin in _near_component, 1e-6 of the bound or of the reach is far
+    beyond rounding: the carried bound loses at most a few units of
+    rounding of itself per step (about 1e-11 of it after 20,000 steps), and
+    the distances are computed to a few units of rounding of the
+    coordinates' size, which 1e-6 of the bound exceeds while the bound is
+    above about 1e-9 of that size.  It is, for delta above that: the bound
+    is at least delta where the proximity test ran (a nearer point stops)
+    and above far where it was skipped; only a seed can start nearer.  So a
+    skipped test would have returned -1, and skipping changes no answer.
     """
     problem = solution.problem
     exp = solution.expansion
@@ -239,6 +277,11 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     # to drop before the next pass.
     line = np.arange(z.size)
     done = np.zeros(z.size, dtype=bool)
+    # clear[n] is a lower bound on the distance from z[n] to every boundary,
+    # and far, with a margin, the largest at which the proximity stop fires.
+    clear = _near_component(problem, z, opts.delta_stop)[1]
+    far = max((_stop_reach(c, opts.delta_stop) for c in problem.components), default=0.0)
+    far *= 1.0 + 1e-6
 
     def stop(entries, termination, stagnated, components=None):
         for n, i in enumerate(line[entries].tolist()):
@@ -251,13 +294,16 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
     if np.count_nonzero(flat := mag < 1e-12):
         stop(flat, STEP_LIMIT, True)
     h = np.full(z.size, opts.h_max / 8.0)
-    steps = np.zeros(z.size, dtype=int)
-    while True:
-        if np.count_nonzero(capped := steps >= opts.max_steps):
-            stop(capped & ~done, STEP_LIMIT, False)
+    # A line accepts at most one step per pass, so none reaches the cap
+    # before pass max_steps; its accepted steps are its points but one.
+    for npass in itertools.count():
+        if npass >= opts.max_steps:
+            steps = np.array([len(paths[i]) - 1 for i in line.tolist()])
+            if np.count_nonzero(capped := steps >= opts.max_steps):
+                stop(capped & ~done, STEP_LIMIT, False)
         if np.count_nonzero(done):
             keep = ~done
-            line, z, u, k1, h, steps = line[keep], z[keep], u[keep], k1[keep], h[keep], steps[keep]
+            line, z, u, k1, h, clear = line[keep], z[keep], u[keep], k1[keep], h[keep], clear[keep]
             done = done[keep]
         if line.size == 0:
             break
@@ -267,22 +313,30 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
         z_new = z + h * (2.0 * k1 + 3.0 * kb + 4.0 * kc) / 9.0
         kd, u_new = _directions(exp, z_new, status, want_u=True)
         err = np.abs(h * (-5.0 * k1 + 6.0 * kb + 8.0 * kc - 9.0 * kd) / 72.0)
-        with np.errstate(divide="ignore"):
-            grow = 0.9 * (tol / err) ** (1.0 / 3.0)
+        # An err below 1e-3 tol gives grow above 9, which both of its uses
+        # below cap at 4 or never read, so the floor changes no step size and
+        # keeps err = 0 from dividing by zero.
+        grow = 0.9 * (tol / np.maximum(err, 1e-3 * tol)) ** (1.0 / 3.0)
         ok = status == _OK
         shrink = ok & (err > tol) & (h > h_min)
         rest = ok & ~shrink
-        # Only the entries in rest are read: the others' steps are void.
-        crossed = _crossed_boundary(problem, z, z_new)
-        cross = rest & (crossed >= 0)
-        descend = rest & ~cross & (u_new <= u)
-        accept = rest & ~cross & ~descend
+        # Only lines in rest are tested, so cross lies in rest: the others'
+        # steps are void.  A step shorter than its line's clearance crosses
+        # no boundary.
+        length = np.abs(z_new - z)
+        crossed = np.full(line.size, -1)
+        if np.count_nonzero(reach := rest & (length * (1.0 + 1e-6) >= clear)):
+            reach = np.flatnonzero(reach)
+            crossed[reach] = _crossed_boundary(problem, z[reach], z_new[reach])
+        cross = crossed >= 0
+        descend = (kept := rest & ~cross) & (u_new <= u)
+        accept = kept & ~descend
         undefined = status == _UNDEFINED
-        tiny = h <= 4.0 * h_min
-        if np.count_nonzero(bounce := cross & tiny):
-            stop(bounce, HIT_BOUNDARY, False, crossed[bounce])
-        if np.count_nonzero(stuck := (undefined | descend) & tiny):
-            stop(stuck, STEP_LIMIT, True)
+        if np.count_nonzero(tiny := h <= 4.0 * h_min):
+            if np.count_nonzero(bounce := cross & tiny):
+                stop(bounce, HIT_BOUNDARY, False, crossed[bounce])
+            if np.count_nonzero(stuck := (undefined | descend) & tiny):
+                stop(stuck, STEP_LIMIT, True)
         if np.count_nonzero(flat := status == _STAGNANT):
             stop(flat, STEP_LIMIT, True)
         halve = (undefined | cross | descend) & ~tiny
@@ -290,17 +344,20 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
         entries = np.flatnonzero(accept)
         za, taken = z_new[entries], line[entries]
         z[entries], u[entries], k1[entries] = za, u_new[entries], kd[entries]
-        steps[entries] += 1
+        clear[entries] -= length[entries]
         h = np.where(accept, np.minimum(h * np.minimum(4.0, grow), opts.h_max), np.where(
             shrink, np.maximum(h * np.maximum(0.25, grow), h_min),
             np.where(halve, np.maximum(h / 2.0, h_min), h)))
         for i, p in zip(taken.tolist(), za.tolist()):
             paths[i].append(p)
-        near = _near_component(problem, za, opts.delta_stop)
-        hit = near >= 0
-        left = ~hit & ~_in_window(window, za)
-        if np.count_nonzero(hit | left):
-            stop(entries[hit], HIT_BOUNDARY, False, near[hit])
+        left = ~_in_window(window, za)
+        # Only a point within far of some boundary can be near one.
+        if (close := np.flatnonzero(clear[entries] <= far)).size:
+            near, clear[entries[close]] = _near_component(problem, za[close], opts.delta_stop)
+            if np.count_nonzero(hit := near >= 0):
+                stop(entries[close[hit]], HIT_BOUNDARY, False, near[hit])
+                left[close[hit]] = False
+        if np.count_nonzero(left):
             stop(entries[left], LEFT_WINDOW, False)
     return [_polyline(p, *end, problem, int(r)) for p, end, r in zip(paths, ends, rejected)]
 

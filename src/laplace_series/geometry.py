@@ -159,8 +159,14 @@ def joukowski_inverse(center: complex, halfspan: complex, z):
 
 
 def unit_slit_inverse(zc: np.ndarray) -> np.ndarray:
-    """joukowski_inverse of the slit [-1, 1] on an array zc = (z - center)/halfspan."""
-    if np.count_nonzero(_on_unit_slit(zc)):
+    """joukowski_inverse of the slit [-1, 1] on an array zc = (z - center)/halfspan.
+
+    Raises DomainError where zc lies on the slit, that is where Im zc is
+    +0.0 or -0.0 and |Re zc| <= 1.  The full test runs only when some
+    imaginary part is exactly zero, which one count of the nonzero ones
+    tells; off the real axis no point can be on the slit.
+    """
+    if np.count_nonzero(zc.imag) < zc.size and np.count_nonzero(_on_unit_slit(zc)):
         raise DomainError("inverse slit map is two-valued on the slit itself")
     return zc + np.sqrt(zc - 1.0) * np.sqrt(zc - -1.0)
 
@@ -175,12 +181,15 @@ def boundary_nodes(component: BoundaryComponent, npts: int, offset: float = None
     conjugate preimages.  Each slit point is the forward image of its preimage.
     The preimages are the unit grid itself, shared by every component sampled
     with the same npts and offset (see _unit_grid), so they are read-only.
+    Grids of more than _CACHED_GRID_POINTS points are made afresh and not
+    kept.
     """
     if npts <= 0:
         raise ValueError(f"npts must be >= 1, got {npts}")
     if offset is None:
         offset = 0.5 if component.kind == SLIT else 0.0
-    w = _unit_grid(int(npts), float(offset))
+    grid = _cached_unit_grid if npts <= _CACHED_GRID_POINTS else _unit_grid
+    w = grid(int(npts), float(offset))
     if component.kind == DISK:
         z = component.center + component.radius * w
     else:
@@ -188,20 +197,29 @@ def boundary_nodes(component: BoundaryComponent, npts: int, offset: float = None
     return z, w
 
 
-@functools.lru_cache(maxsize=128)
+# Grids of at most this many points are cached, which covers every grid the
+# benchmark's workloads draw (the largest has 640 points).  Larger ones are
+# built on each call, so a fine check grid is not kept.
+_CACHED_GRID_POINTS = 1 << 14
+
+
 def _unit_grid(npts: int, offset: float) -> np.ndarray:
     """The read-only unit-circle points exp(2*pi*i*(k + offset)/npts), k < npts.
 
     Solves draw their fit and check grids from a few dozen (npts, offset)
-    pairs (default_npts gives one count per degree), so each grid is computed
-    once and kept, as FFT libraries keep their twiddle factors.  A degree
-    takes at most four grids (fit and check, disk and slit), so 128 hold
-    those of 32 degrees.
+    pairs (default_npts gives one count per degree), so boundary_nodes
+    computes each grid of at most _CACHED_GRID_POINTS points once and keeps
+    it (_cached_unit_grid), as FFT libraries keep their twiddle factors.  A
+    degree takes at most four grids (fit and check, disk and slit), so 128
+    hold those of 32 degrees.
     """
     theta = 2.0 * np.pi * (np.arange(npts) + offset) / npts
     w = np.exp(1j * theta)
     w.flags.writeable = False
     return w
+
+
+_cached_unit_grid = functools.lru_cache(maxsize=128)(_unit_grid)
 
 
 def segment_distance(a: complex, b: complex, z) -> float:

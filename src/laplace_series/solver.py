@@ -16,9 +16,8 @@ others before the solve and restored after it.  The solution vector, in
 design_matrix column order, is the expansion's one stored copy of its
 coefficients.  The a-posteriori certificate is the maximum boundary misfit
 on a finer, offset sample grid: each row block, at most BLOCK_BUDGET bytes
-of basis matrix unless the fit matrix (or the largest component grid) is
-taller, is multiplied by that vector, so most small solves check in one block.
-By the maximum principle it bounds the solution error throughout the domain.
+of basis matrix unless the fit matrix is taller, is multiplied by that
+vector, so most small solves check in one block.  By the maximum principle it bounds the solution error throughout the domain.
 """
 
 from __future__ import annotations
@@ -80,8 +79,7 @@ QRT_WIDE_BLOCK = 128
 
 # A certificate row block holds at most this many bytes of basis matrix
 # (2**17 float64 entries, the 1 MB that also bounds a basis._CHUNK_POINTS
-# power table), unless the fit matrix or one component's check grid is
-# taller; see boundary_residual.
+# power table), unless the fit matrix is taller; see boundary_residual.
 BLOCK_BUDGET = 1 << 20
 
 
@@ -389,9 +387,9 @@ def boundary_residual(solution: Solution, nfine) -> float:
 
     The samples of all components are stacked and evaluated in contiguous
     row blocks of at most BLOCK_BUDGET (1 MB) of basis matrix, or as tall as
-    the fit matrix or the largest component grid if either is taller.  So
-    the check holds no larger matrix than max(fit matrix, 1 MB), and a check
-    matrix under 1 MB is one block.  The block height moves no certificate:
+    the fit matrix if that is taller.  So the check holds no larger matrix
+    than max(fit matrix, 1 MB), however fine the grid, and a check matrix
+    under 1 MB is one block.  The block height moves no certificate:
     BLAS sums each row's product with the coefficients in the same order
     however tall the block is (tests/test_solver.py checks it bit for bit).
     """
@@ -410,7 +408,7 @@ def boundary_residual(solution: Solution, nfine) -> float:
         boundary_nodes(comp, n, _CHECK_OFFSET[comp.kind]) for comp, n in zip(comps, nfine)
     ])
     coeffs = solution.expansion.vector
-    block = max(solution.fit_report.rows, *nfine, BLOCK_BUDGET // coeffs.nbytes)
+    block = max(solution.fit_report.rows, BLOCK_BUDGET // coeffs.nbytes)
     worst = 0.0
     for start in range(0, z.shape[0], block):
         rows = slice(start, start + block)

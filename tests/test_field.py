@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import tracemalloc
 
@@ -40,7 +41,10 @@ from laplace_series.field import (
     _near_component,
 )
 from laplace_series.geometry import (
+    OUTER,
+    SLIT,
     boundary_distance,
+    first_hole,
     in_hole,
     joukowski_inverse,
     segments_cross,
@@ -262,7 +266,84 @@ def test_slit_prescreen_matches_the_full_map(cx, cy, span, angle, delta, seed):
         span * (1 + 0j) + rng.uniform(delta, reach, 24) * phase * np.sign(phase.real),
     ])
     z = center + unit * local
-    assert np.array_equal(_near_component(problem, z, delta), _near_by_full_map(comp, z, delta))
+    near, clearance = _near_component(problem, z, delta)
+    assert np.array_equal(near, _near_by_full_map(comp, z, delta))
+    assert np.array_equal(clearance, boundary_distance(comp, z))
+
+
+def _boundary_points(problem, count, rng):
+    """``count`` points on each component's boundary with unit normals into
+    the domain; a third of each slit's points are its endpoints, with
+    directions past the end."""
+    points, normals = [], []
+    for comp in problem.components:
+        phase = np.exp(1j * rng.uniform(-np.pi, np.pi, count))
+        if comp.kind != SLIT:
+            sign = -1.0 if comp.role == OUTER else 1.0
+            points.append(comp.center + comp.radius * phase)
+            normals.append(sign * phase)
+            continue
+        unit = comp.halfspan / abs(comp.halfspan)
+        end = np.where(rng.uniform(-1, 1, count) < 0, -1.0, 1.0)
+        t = np.where(np.arange(count) % 3 == 0, end, rng.uniform(-1, 1, count))
+        side = unit * np.where(rng.uniform(-1, 1, count) < 0, -1j, 1j)
+        beyond = unit * end * np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2, count))
+        points.append(comp.center + comp.halfspan * t)
+        normals.append(np.where(np.abs(t) == 1.0, beyond, side))
+    return np.concatenate(points), np.concatenate(normals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    log_scale=st.floats(-3.0, 3.0), angle=st.floats(-math.pi, math.pi),
+    log_delta=st.floats(-6.0, -0.5), seed=st.integers(0, 2**32 - 1),
+)
+def test_skipped_boundary_tests_would_find_nothing(log_scale, angle, log_delta, seed):
+    # The skip rules of field._trace, on an outer circle, a disk and two
+    # slits at scales 1e-3 to 1e3: a step whose length times (1 + 1e-6) is
+    # below its line's carried clearance is not tested for crossings, and an
+    # accepted point whose clearance is above far is not tested for
+    # proximity (delta up to 0.3 of the scale).  Lines start at distances
+    # from delta/10 to the scale, beside every boundary and around the slit
+    # endpoints, and walk straight at their boundary point.  Each step is
+    # about as long as the clearance, or leaves about far of it, within
+    # 1e-15 to 1e-1 of that either way, so both rules are tried on both
+    # sides of their thresholds.  Wherever a rule skips, the full test must
+    # return -1.
+    scale, delta = 10.0**log_scale, 10.0 ** (log_scale + log_delta)
+    comps = (disk(0, 4 * scale, role="outer"), disk((-1.5 + 0.5j) * scale, 0.5 * scale),
+             slit((1.2 + 1j) * scale, 0.6 * scale * cmath.exp(1j * angle)),
+             slit((0.5 - 1.6j) * scale, 0.5j * scale))
+    problem = Problem(comps, "bounded", None)
+    far = max(field._stop_reach(c, delta) for c in comps) * (1.0 + 1e-6)
+    rng = np.random.default_rng(seed)
+    p, n = _boundary_points(problem, 40, rng)
+    z = p + n * delta * 10.0 ** rng.uniform(-1, 1 - log_delta, p.size)
+    inside = first_hole(comps, z) < 0
+    z, n = z[inside], n[inside]
+    near, clear = _near_component(problem, z, delta)
+    z, n, clear = z[near < 0], n[near < 0], clear[near < 0]
+    skipped = [0, 0]
+    for k in range(8):
+        sign = np.where(rng.uniform(-1, 1, z.size) < 0, -1.0, 1.0)
+        jitter = 1.0 + sign * 10.0 ** rng.uniform(-15, -1, z.size)
+        goal = clear - far * jitter if k % 2 else clear * jitter
+        z_new = z - n * np.maximum(goal, 0.0)
+        length = np.abs(z_new - z)
+        skip = length * (1.0 + 1e-6) < clear
+        assert np.all(field._crossed_boundary(problem, z[skip], z_new[skip]) == -1)
+        clear = clear - length
+        close = clear <= far
+        assert np.all(_near_component(problem, z_new[~close], delta)[0] == -1)
+        near, clear[close] = _near_component(problem, z_new[close], delta)
+        skipped[0] += np.count_nonzero(skip)
+        skipped[1] += np.count_nonzero(~close)
+        # Lines whose step crosses a boundary or ends near one leave the walk.
+        live = np.ones(z.size, dtype=bool)
+        live[~skip] = field._crossed_boundary(problem, z[~skip], z_new[~skip]) < 0
+        live[close] &= near < 0
+        z, n, clear = z_new[live], n[live], clear[live]
+    assert min(skipped) > 0
 
 
 def test_step_cap_keeps_the_last_step_termination(disk1):
@@ -601,3 +682,75 @@ def test_figure_fan_is_pinned():
     assert got == FIGURE_FAN
     assert not any(line.stagnated for line in fan)
     assert all(line.accepted_steps == len(line.points) - 1 for line in fan)
+
+
+# The 24-line fan of a bounded domain (an outer circle, a disk and two
+# slits) as "termination component:points:rejected steps" and the SHA-256
+# of the line's points as float64 (x, y) pairs, recorded before the tracer
+# carried each line's clearance, with BLAS on one thread.
+BOUNDED_FAN = (
+    "H2:68:4 be927656d4add494984601f4da558b0dea8391d1d7de56cd885680681c9f9f97",
+    "H2:59:5 a7599193cd06a57f6e62c684b978d78bb3d1b64f19cd33f6b5a6279ac1f6fcd3",
+    "H2:52:3 8111545dcb81e08d0b6d1add1449ac25aed3283e736f4bb9a7ce5dbab45a696a",
+    "H2:49:6 a8b2488bb713eac1dbaff8edf69297155968bbe5ee3d9f20e997aaa42b98b18d",
+    "H2:46:19 d6c023a7afea453ed89976aaa649cbedfcc2dd2d341874fa54f03c35a2eeefcd",
+    "H2:66:3 40e228fba49a034e0ce6681b815b0a1ca5da157cf7f2301d9a52e493e72f013a",
+    "H2:80:2 df641835a3bc89d68afc7b2af2239aaeb4efa9f10642381c9e2df41deda85d29",
+    "H2:148:3 1361e313986d5eb6be0a814ca9e6ff4b1d4aef2a685f02f7bec85590eb136d5f",
+    "H0:108:10 1161a4d1f38fdf21cee414d0693dae5466927d7b585ad70567bfd0dfac182506",
+    "H1:72:5 be1224fbfaae33e583b372c3b14f3bc3b8874214383423f2b0811457a86409aa",
+    "H1:53:5 6575ba3fe925e1135945d8518ab7e8a4477f3fbba49d59d679ad76d2a933e587",
+    "H1:39:5 be14385d7d7fc524a78eb826906433ffc179773247c431b64a210761c07e6481",
+    "H1:34:9 0ea03c1f491c2862ebf9fe7204542f91e59736fe33bd2552f2e889f725b3347f",
+    "H1:50:9 6741dc04d768909b2fdf54f45308d53cf85e989e112e8f0a73a9faa0db33df78",
+    "H1:67:4 0b06a6e605e5bbe6365ed568921d72bd3e098c6f3ae4235f11ca71e29df5de48",
+    "H1:128:0 c061fcbfb157769812a4810a81de8fb92acc4b94b5cb8f2fe42ed2848d4a5fdb",
+    "H0:102:12 a112a383697bb3f1a1b2cf8efcea8a15eacea9af3374e6548b86e9bf5bef3350",
+    "H3:76:5 26bdc32dd1001f06a109eed33a4024951256eb592b680d7a74d92a4233c0684a",
+    "H3:65:5 77c7c93614355de7fa8819dc02fcd108e96d64fb10f8c28a421acf0f505964fc",
+    "H3:45:14 a5c42f098d5f25f005d47bb2fe41517236d26edb28329cbfbd453e8c50842162",
+    "H3:76:2 824234655b440639a9dfd3d6b694481be77c6c820a34fea868304961bc0aade0",
+    "H3:101:3 8e1ae10cb017e6dd73c4ad3d1d23ee60fbac21220d375a2ead3a27a04c85d9a9",
+    "H0:86:10 2e9696c7020a397def91dd93b69f80895dba48044a2dc644d2da5dfa98f3f0dd",
+    "H2:133:2 77311d36913d6d9bc947d42e1b9cdee6a87da84c1ecd4a74a46f19f1fb411cbc",
+)
+
+
+def _bounded_fan_solution():
+    comps = (disk(0.0, 4.0, role="outer"), disk(-1.5 + 0.5j, 0.5),
+             slit(1.2 + 1.0j, 0.6 * cmath.exp(0.3j)), slit(0.5 - 1.6j, 0.5j))
+    prob = Problem(comps, "bounded", 0.2 + 0.1j)
+    return solve_problem(prob, default_spec(prob, degree=10))
+
+
+def test_bounded_fan_is_pinned():
+    fan = streamline_fan(_bounded_fan_solution(), 24, 0.01)
+    code = {HIT_BOUNDARY: "H", LEFT_WINDOW: "W", STEP_LIMIT: "S"}
+    got = [
+        f"{code[line.termination]}{line.component_index}:{len(line.points)}:"
+        f"{line.rejected_steps} "
+        + hashlib.sha256(np.array(line.points, dtype=complex).view(float).tobytes()).hexdigest()
+        for line in fan
+    ]
+    assert got == list(BOUNDED_FAN)
+    assert {line.component_index for line in fan} == {0, 1, 2, 3}
+
+
+def test_fan_makes_three_evaluations_per_pass(monkeypatch):
+    # One evaluation at the seeds, then three per pass (one per stage), and
+    # no other: the clearance comes from geometry alone.  Every pass takes one
+    # trial step on each live line, so the pass count is the largest number
+    # of trial steps a line took.
+    calls = []
+    evaluate = field._evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    sol = _bounded_fan_solution()
+    monkeypatch.setattr(field, "_evaluate", counting)
+    fan = streamline_fan(sol, 24, 0.01)
+    passes = max(line.accepted_steps + line.rejected_steps for line in fan)
+    assert not any(line.stagnated for line in fan)
+    assert len(calls) == 1 + 3 * passes

@@ -20,6 +20,7 @@ from laplace_series.geometry import (
     joukowski_inverse,
     segments_cross,
     slit,
+    unit_slit_inverse,
 )
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -46,6 +47,19 @@ def test_inverse_rejects_on_slit():
         joukowski_inverse(0, 1, 0.25 + 0j)
     with pytest.raises(DomainError):
         joukowski_inverse(1j, 2j, 1j)  # center of a vertical slit
+
+
+@pytest.mark.parametrize("x", [-1.0, 0.5, 1.0])
+@pytest.mark.parametrize("y", [0.0, -0.0])
+def test_unit_inverse_rejects_the_slit_among_points_off_the_axis(x, y):
+    # The on-slit test runs only when some imaginary part is zero, +0.0 or
+    # -0.0; a point on the slit among points off the real axis still raises.
+    zc = np.array([2j, complex(x, y), 0.5 + 1e-300j])
+    with pytest.raises(DomainError):
+        unit_slit_inverse(zc)
+    with pytest.raises(DomainError):
+        unit_slit_inverse(zc[1:2])
+    assert np.all(unit_slit_inverse(zc[[0, 2]]).imag > 0)  # the upper side
 
 
 def test_inverse_generic_triple_round_trip():

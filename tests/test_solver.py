@@ -499,16 +499,17 @@ def _certificate(monkeypatch, sol, budget):
 
 @pytest.mark.parametrize("name", ["three_disks", "bounded_mixed", "two_slits"])
 def test_certificate_does_not_depend_on_the_block_budget(request, monkeypatch, name):
-    # A budget of three rows leaves blocks as tall as the fit matrix or the
-    # largest check grid; a huge one puts every row in one block.  Each row's
-    # product with the coefficients is the same in any block, so the
-    # certificate is the same bit for bit.
+    # A budget of three rows leaves blocks as tall as the fit matrix, shorter
+    # than the 4x check grid of each component; a huge one puts every row in
+    # one block.  Each row's product with the coefficients is the same in any
+    # block, so the certificate is the same bit for bit.
     sol = request.getfixturevalue(name)
     nfine = [4 * n for n in sol.fit_report.npts]
     short, short_blocks = _certificate(monkeypatch, sol, 3 * sol.expansion.vector.nbytes)
     tall, tall_blocks = _certificate(monkeypatch, sol, 1 << 40)
     assert short == tall == sol.residual
-    assert len(short_blocks) > 1 and max(short_blocks) == max(sol.fit_report.rows, *nfine)
+    assert max(short_blocks) == sol.fit_report.rows < min(nfine)
+    assert sum(short_blocks) == sum(nfine)
     assert tall_blocks == [sum(nfine)]
 
 
@@ -547,6 +548,27 @@ def test_certificate_blocks_stay_within_the_budget(monkeypatch, level):
     assert sum(held) == sum(nfine) * sol.fit_report.cols * 8 > bound
     assert max(held) <= bound
     assert peak <= 2 * bound + 48 * sum(nfine)
+
+
+def test_a_fine_check_grid_is_neither_held_whole_nor_kept():
+    # Counts bytes, times nothing.  A million check points on one disk: the
+    # certificate holds the 1 MB row block and its powers (no larger) and,
+    # per point, the component's samples and preimages (32 bytes), the
+    # stacked z, w, owner and data (48) and the data before stacking (8),
+    # and keeps none of it once it returns, the grid included.
+    prob = green_problem([disk(2 + 1j, 0.5)])
+    sol = solve_problem(prob, default_spec(prob, degree=10))
+    fit = sol.fit_report.rows * sol.fit_report.cols * 8
+    npts = 10**6
+    tracemalloc.start()
+    try:
+        residual = boundary_residual(sol, npts)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.residual <= residual <= 1.01 * sol.residual
+    assert peak <= fit + 2 * solver.BLOCK_BUDGET + 96 * npts
+    assert held < 64 * 1024
 
 
 def test_identity_fit_has_machine_residual():
