@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -93,29 +93,7 @@ def column_layout(components, spec: ExpansionSpec) -> tuple[slice, ...]:
     (A_k, B_k) pairs come last (an empty slice without one), so the last
     slice ends at the column count.
     """
-    inner = inner_indices(components)
-    oj = outer_index(components)
-    col = 1 + len(inner)
-    blocks = []
-    for n in [spec.degrees[j] for j in inner] + [0 if oj is None else spec.degrees[oj]]:
-        blocks.append(slice(col, col + 2 * n))
-        col += 2 * n
-    return tuple(blocks)
-
-
-def column_count(components, spec: ExpansionSpec) -> int:
-    return column_layout(components, spec)[-1].stop
-
-
-def column_labels(components, spec: ExpansionSpec) -> list[str]:
-    """Human-readable names for the columns, in matrix order."""
-    inner = inner_indices(components)
-    names = [("a", "b", f"{j},") for j in inner] + [("A", "B", "")]
-    labels = ["C"] + [f"d[{j}]" for j in inner]
-    for (a, b, j), blk in zip(names, column_layout(components, spec)):
-        for k in range(1, (blk.stop - blk.start) // 2 + 1):
-            labels += [f"{a}[{j}{k}]", f"{b}[{j}{k}]"]
-    return labels
+    return _layout(tuple(components), spec)[0]
 
 
 def _powers(t: np.ndarray, n: int) -> np.ndarray:
@@ -147,49 +125,66 @@ class _BlockMap(NamedTuple):
     offset: float  # 0.0 for OUTER
 
 
-def _block_maps(components, spec: ExpansionSpec) -> list[_BlockMap]:
-    """The maps of the blocks that have columns, in column order: each inner
-    component's, then the outer circle's when its degree is positive."""
+# Each solve asks in its assembly, certificate, expansion and plan.  Equal
+# geometries share an entry: a -0.0 part of a centre maps as +0.0 does.
+@lru_cache(maxsize=64)
+def _layout(components: tuple, spec: ExpansionSpec):
+    """(column_layout, _block_maps) of one geometry and spec, formed once.
+    Both are tuples of immutable entries, so every caller can share them."""
+    inner = inner_indices(components)
+    oj = outer_index(components)
+    col = 1 + len(inner)
+    blocks = []
+    for n in [spec.degrees[j] for j in inner] + [0 if oj is None else spec.degrees[oj]]:
+        blocks.append(slice(col, col + 2 * n))
+        col += 2 * n
     maps = []
-    for j in inner_indices(components):
+    for j in inner:
         comp = components[j]
         if comp.kind == DISK:
             scale, offset = (comp.radius, math.log(comp.radius)) if spec.scaled else (None, 0.0)
         else:
             scale, offset = comp.halfspan, math.log(abs(comp.halfspan) / 2.0)
         maps.append(_BlockMap(j, comp.kind, comp.center, scale, offset))
-    oj = outer_index(components)
     if oj is not None and spec.degrees[oj]:
         out = components[oj]
         maps.append(_BlockMap(oj, OUTER, out.center, out.radius, 0.0))
-    return maps
+    return tuple(blocks), tuple(maps)
 
 
-def _block_variable(bmap: _BlockMap, z, preimages=None, owner=None):
-    """zeta of one block at the points z: the one place a block is mapped.
+def _block_maps(components, spec: ExpansionSpec) -> tuple[_BlockMap, ...]:
+    """The maps of the blocks that have columns, in column order: each inner
+    component's, then the outer circle's when its degree is positive."""
+    return _layout(tuple(components), spec)[1]
+
+
+def _block_variable(bmap: _BlockMap, dz, preimages=None, owner=None):
+    """zeta of one block at the points z = center + dz: the one place a block
+    is mapped.  The caller forms dz = z - center, which the evaluator's disk
+    derivative 1/(z - c) reads as well.
 
     On rows whose ``owner`` is the block's slit itself, ``preimages`` (one per
     row) replaces the map.  Those rows are found by index and set off the
     real axis, so off the slit, before the map runs once over every row, so
-    no mask of the other rows is formed and z, ``preimages`` and ``owner``
+    no mask of the other rows is formed and dz, ``preimages`` and ``owner``
     are only read.  Raises DomainError at a disk's centre and, through the
     map, on a slit.
     """
     if bmap.kind == SLIT:
         if owner is None:
-            return unit_slit_inverse((z - bmap.center) / bmap.scale)
+            return unit_slit_inverse(dz / bmap.scale)
         own = np.flatnonzero(owner == bmap.j)
-        if own.size == z.size:
+        if own.size == dz.size:
             return preimages
-        zc = (z - bmap.center) / bmap.scale
+        zc = dz / bmap.scale
         # Off the real axis, so the map's on-slit test is not run for these
         # rows; the stored preimages replace them.
         zc[own] = 2j
         w = unit_slit_inverse(zc)
         w[own] = preimages[own]
         return w
-    zeta = z - bmap.center if bmap.scale is None else (z - bmap.center) / bmap.scale
-    if bmap.kind == DISK and np.count_nonzero(zeta) < z.size:
+    zeta = dz if bmap.scale is None else dz / bmap.scale
+    if bmap.kind == DISK and np.count_nonzero(zeta) < dz.size:
         raise DomainError("expansion is singular at a component center")
     return zeta
 
@@ -215,12 +210,12 @@ def design_matrix(z, components, spec: ExpansionSpec, preimages=None, owner=None
         preimages = np.asarray(preimages, dtype=complex)
         if owner.shape != z.shape or preimages.shape != z.shape:
             raise ValueError("owner and preimages must give one entry per point")
-    blocks = column_layout(components, spec)
+    blocks, maps = _layout(tuple(components), spec)
     A = np.empty((z.shape[0], blocks[-1].stop), dtype=float, order="F")
     A[:, 0] = 1.0
-    for slot, bmap in enumerate(_block_maps(components, spec)):
+    for slot, bmap in enumerate(maps):
         # t is the series variable: T_0 for the outer block, 1/zeta otherwise.
-        t = _block_variable(bmap, z, preimages, owner)
+        t = _block_variable(bmap, z - bmap.center, preimages, owner)
         if bmap.kind != OUTER:
             A[:, 1 + slot] = np.log(np.abs(t)) + bmap.offset
             t = 1.0 / t
@@ -374,24 +369,24 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
 def _evaluate_flat(exp: Expansion, z, want_u, want_fp):
     """_evaluate on a 1-D array of points: (u, f') as arrays or None."""
     blocks, tables = exp._plan
-    u = np.full(z.shape, exp.constant) if want_u else None
-    fp = np.zeros(z.shape, dtype=complex) if want_fp else None
     if exp.source_strength != 0.0:
         # count_nonzero is the cheapest test on a few dozen points; z - s is
-        # 0 exactly where z == s.
+        # 0 exactly where z == s.  The source term starts u and f'.
         zs = z - exp.source
         if np.count_nonzero(zs) < z.size:
             raise DomainError("the field is unbounded at the source point")
-        if want_u:
-            u += exp.source_strength * np.log(np.abs(zs))
-        if want_fp:
-            fp += exp.source_strength / zs
+        u = exp.source_strength * np.log(np.abs(zs)) + exp.constant if want_u else None
+        fp = exp.source_strength / zs if want_fp else None
+    else:
+        u = np.full(z.shape, exp.constant) if want_u else None
+        fp = np.zeros(z.shape, dtype=complex) if want_fp else None
     # t[i][row] is the series variable of that block: 1/zeta, or T_0.
     t = [np.empty((rows, z.size), dtype=complex) for _, rows in tables]
     logs, dlogs = [], []
     for blk in blocks:
         bmap, ts = blk.map, t[blk.table][blk.row]
-        zeta = _block_variable(bmap, z)
+        dz = z - bmap.center
+        zeta = _block_variable(bmap, dz)
         if bmap.kind == OUTER:
             ts[:] = zeta
             continue
@@ -400,7 +395,7 @@ def _evaluate_flat(exp: Expansion, z, want_u, want_fp):
             logs.append(blk.d * (np.log(np.abs(zeta)) + bmap.offset))
         if want_fp:
             if bmap.kind == DISK:
-                dlogs.append(1.0 / (z - bmap.center))
+                dlogs.append(1.0 / dz)
             else:
                 denom = 1.0 - ts * ts
                 if np.count_nonzero(np.abs(denom) < 1e-13):

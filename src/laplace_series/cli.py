@@ -264,47 +264,6 @@ def parse_problem_config(text: str) -> RunConfig:
     )
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Emit a JSON document that reparses to an equivalent configuration."""
-    comps = []
-    for comp, value in zip(cfg.problem.components, cfg.problem.boundary_data):
-        entry = {"kind": comp.kind, "center": [comp.center.real, comp.center.imag]}
-        if comp.kind == DISK:
-            entry["radius"] = comp.radius
-        else:
-            entry["halfspan"] = [comp.halfspan.real, comp.halfspan.imag]
-        entry["value"] = float(value)
-        entry["role"] = comp.role
-        comps.append(entry)
-    doc = {
-        "domain": cfg.problem.domain_kind,
-        "source": None
-        if cfg.problem.source is None
-        else [cfg.problem.source.real, cfg.problem.source.imag],
-        "components": comps,
-        "degree": list(cfg.spec.degrees),
-        "npts": list(cfg.npts),
-        "scaled": cfg.spec.scaled,
-        "window": list(cfg.window),
-        "streamlines": {"count": cfg.streamlines.count, **(
-            {"eps": cfg.streamlines.eps} if cfg.streamlines.eps is not None else {}
-        )},
-        "outputs": {
-            k: v
-            for k, v in (
-                ("report", cfg.outputs.report),
-                ("csv", cfg.outputs.csv),
-                ("svg", cfg.outputs.svg),
-            )
-            if v is not None
-        },
-        "eval": [[p.real, p.imag] for p in cfg.eval_points],
-    }
-    if cfg.levels is not None:
-        doc["levels"] = list(cfg.levels)
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def _sig13(x: float) -> float:
     """Round to 13 significant digits, the precision quoted in reports."""
     if x == 0 or not math.isfinite(x):

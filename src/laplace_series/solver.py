@@ -318,23 +318,26 @@ def _pack_triangle(qr: np.ndarray) -> np.ndarray:
     """R, the first n rows of the factored m-by-n F-ordered qr, moved into the
     first n*n entries of qr's own storage; returned as an F-ordered n-by-n view.
 
-    Column j moves from offset j*m to j*n, row j of the C-ordered view
-    ``head`` of those entries.  Columns [j, j1) go in one copy when
-    j1 <= j*m/n, since their new place then ends before column j's old one
-    begins; column 0 already sits in place.  So a copy takes j up to about
-    j*m/n, and the columns of R move in about log(n)/log(m/n) copies (4 at
-    4096 by 640).  A lone column whose new place overlaps its old one
-    (m < 2n) goes through numpy's buffer of n entries.  Entries below the
-    diagonal are left over from the reflectors; only the upper triangle is R.
+    Column j moves from offset j*m to j*n: from row j of the C-ordered view
+    ``cols`` = qr.T to row j of the C-ordered view ``head`` of those entries,
+    so every copy runs along contiguous memory on both sides.  Columns
+    [j, j1) go in one copy when j1 <= j*m/n, since their new place then ends
+    before column j's old one begins; column 0 already sits in place.  So a
+    copy takes j up to about j*m/n, and the columns of R move in about
+    log(n)/log(m/n) copies (4 at 4096 by 640).  A lone column whose new place
+    overlaps its old one (m < 2n) goes through numpy's buffer of n entries.
+    Entries below the diagonal are left over from the reflectors; only the
+    upper triangle is R.
     """
     m, n = qr.shape
     if m == n:
         return qr
-    head = qr.reshape(-1, order="F")[: n * n].reshape(n, n)
+    cols = qr.T
+    head = cols.reshape(-1)[: n * n].reshape(n, n)
     j = 1
     while j < n:
         j1 = min(n, max(j + 1, j * m // n))
-        head[j:j1] = qr[:n, j:j1].T
+        head[j:j1] = cols[j:j1, :n]
         j = j1
     return head.T
 

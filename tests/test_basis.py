@@ -20,15 +20,14 @@ from laplace_series import (
 )
 from laplace_series.basis import (
     _CHUNK_POINTS,
+    _block_maps,
     _evaluate,
     _powers,
-    column_count,
-    column_labels,
     column_layout,
     complex_derivative,
     design_matrix,
 )
-from laplace_series.geometry import DomainError, boundary_nodes, joukowski_inverse
+from laplace_series.geometry import OUTER, DomainError, boundary_nodes, joukowski_inverse
 from laplace_series.solver import assemble_system, solve_with_log_sum
 
 
@@ -52,8 +51,8 @@ def test_row_length_one_disk():
     spec = ExpansionSpec(degrees=(2,))
     row = design_matrix(5 + 0j, comps, spec)[0]
     assert row.shape == (6,)
-    assert column_count(comps, spec) == 6
-    assert column_labels(comps, spec) == ["C", "d[0]", "a[0,1]", "b[0,1]", "a[0,2]", "b[0,2]"]
+    # C, d, then (a_1, b_1), (a_2, b_2); an empty outer block ends the row.
+    assert column_layout(comps, spec) == (slice(2, 6), slice(6, 6))
 
 
 OWNER_CASES = {
@@ -125,8 +124,8 @@ def test_owner_rows_take_the_stored_preimage():
     # stored preimages, which tell the two sides of the slit apart.
     own = owner == 1
     A = design_matrix(z[own], comps, spec, preimages=w[own], owner=owner[own])
-    labels = column_labels(comps, spec)
-    a1, b1 = labels.index("a[1,1]"), labels.index("b[1,1]")
+    a1 = column_layout(comps, spec)[1].start  # (a_1, b_1) of slit 1's block
+    b1 = a1 + 1
     halfspan = comps[1].halfspan
     assert np.array_equal(A[:, 2], np.log(np.abs(w[own])) + math.log(abs(halfspan) / 2.0))
     assert np.array_equal(A[:, a1], (1.0 / w[own]).real)
@@ -295,7 +294,7 @@ def test_expansion_rejects_nonfinite_coefficients():
     # A bounded layout has a column in every slot: C, d, a, b, A, B.
     comps = (disk(0, 2.0, role="outer"), disk(0.5, 0.3))
     spec = ExpansionSpec(degrees=(1, 1))
-    assert column_labels(comps, spec) == ["C", "d[1]", "a[1,1]", "b[1,1]", "A[1]", "B[1]"]
+    assert column_layout(comps, spec) == (slice(2, 4), slice(4, 6))
     Expansion(comps, spec, [0.0] * 6)
     for slot in range(6):
         for bad in (math.nan, math.inf, -math.inf):
@@ -352,17 +351,32 @@ def test_coefficients_are_views_of_the_vector(two_slits, evaluator_cases):
             assert np.array_equal(blk.imag, exp.vector[cols][1::2])
 
 
-def test_column_layout_matches_labels():
+def test_column_layout_orders_the_blocks():
+    # C, one d per inner component, the inner blocks' pairs in component
+    # order (an empty block for degree 0), the outer block's pairs last.
     comps = (disk(0, 9.0, role="outer"), slit(1 + 1j, 0.6j), disk(-1.5, 0.5), slit(2 - 3j, 0.7))
     spec = ExpansionSpec(degrees=(4, 3, 0, 2))
     layout = column_layout(comps, spec)
-    labels = column_labels(comps, spec)
     assert [(b.start, b.stop) for b in layout] == [(4, 10), (10, 10), (10, 14), (14, 22)]
-    assert column_count(comps, spec) == len(labels) == 22
-    assert labels[:4] == ["C", "d[1]", "d[2]", "d[3]"]
-    assert labels[layout[0]] == [f"{ab}[1,{k}]" for k in (1, 2, 3) for ab in "ab"]
-    assert labels[layout[2]] == [f"{ab}[3,{k}]" for k in (1, 2) for ab in "ab"]
-    assert labels[layout[-1]] == [f"{ab}[{k}]" for k in (1, 2, 3, 4) for ab in "AB"]
+    assert [(m.j, m.kind) for m in _block_maps(comps, spec)] == [
+        (1, "slit"), (2, "disk"), (3, "slit"), (0, OUTER)
+    ]
+
+
+def test_layout_is_formed_once_per_geometry():
+    # A list and a tuple of the same components share one cached layout and
+    # one set of maps, and neither can be changed in place.
+    comps = (disk(0, 9.0, role="outer"), slit(1 + 1j, 0.6j), disk(-1.5, 0.5))
+    spec = ExpansionSpec(degrees=(2, 3, 1))
+    assert column_layout(list(comps), spec) is column_layout(comps, spec)
+    maps = _block_maps(comps, spec)
+    assert _block_maps(list(comps), spec) is maps
+    assert isinstance(maps, tuple) and all(isinstance(m, tuple) for m in maps)
+    assert isinstance(column_layout(comps, spec), tuple)
+    # Another spec on the same components is another layout.
+    other = ExpansionSpec(degrees=(2, 3, 1), scaled=False)
+    assert _block_maps(comps, other) != maps
+    assert column_layout(comps, other) == column_layout(comps, spec)
 
 
 @pytest.fixture(scope="module")

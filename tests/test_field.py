@@ -630,7 +630,7 @@ def test_grid_evaluation_holds_no_matrix():
     X, Y = np.meshgrid(np.linspace(x0, x1, 240), np.linspace(y0, y1, 240))
     Z = X + 1j * Y
     z = Z[_domain_mask(prob, Z)]
-    matrix_bytes = z.size * basis.column_count(prob.components, sol.expansion.spec) * 8
+    matrix_bytes = z.size * basis.column_layout(prob.components, sol.expansion.spec)[-1].stop * 8
     tracemalloc.start()
     try:
         eval_expansion(sol.expansion, z)

@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laplace_series.geometry import (
@@ -382,3 +382,137 @@ def test_in_hole_exactly_where_inverse_map_raises(cr, ci, ext, tilt, t, off):
     except DomainError:
         raised = True
     assert in_hole(comp, z) == raised
+
+
+def _ulp_neighbours(points):
+    """The points, each moved one ulp either way in x and in y, and each
+    with its imaginary part replaced by +0.0 and by -0.0."""
+    z = np.asarray(points, dtype=complex)
+    x, y = z.real, z.imag
+    out = [z]
+    for d in (np.inf, -np.inf):
+        out += [np.nextafter(x, d) + 1j * y, x + 1j * np.nextafter(y, d)]
+    on_axis = x.astype(complex)  # imaginary part +0.0
+    below = on_axis.copy()
+    below.imag = -0.0
+    return np.concatenate(out + [on_axis, below])
+
+
+@st.composite
+def _membership_geometries(draw):
+    """Disks, slits (some along the real axis) and an outer circle at one
+    scale from 1e-3 to 1e3, with the points each membership test is most
+    likely to split: samples on every circle and slit, c +- h, and their
+    one-ulp and signed-zero neighbours."""
+    scale = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    coord = st.floats(min_value=-4.0, max_value=4.0)
+    size = st.floats(min_value=0.05, max_value=1.5)
+    comps, pts = [], []
+    if draw(st.booleans()):
+        comps.append(disk(complex(scale * draw(coord), scale * draw(coord)), scale * 9.0,
+                          role="outer"))
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        y = draw(st.sampled_from([0.0, -0.0])) if draw(st.booleans()) else draw(coord)
+        c = complex(scale * draw(coord), scale * y)
+        kind = draw(st.sampled_from(["disk", "slit", "real slit"]))
+        if kind == "disk":
+            comps.append(disk(c, scale * draw(size)))
+        else:
+            tilt = 0.0 if kind == "real slit" else draw(st.floats(min_value=-3.2, max_value=3.2))
+            h = scale * draw(size) * complex(math.cos(tilt), math.sin(tilt))
+            comps.append(slit(c, h))
+    thetas = st.floats(min_value=0.0, max_value=2 * math.pi)
+    ts = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(min_value=-1.0, max_value=1.0))
+    for comp in comps:
+        if comp.kind == "disk":
+            r = comp.radius
+            pts += [comp.center + r * complex(math.cos(a), math.sin(a))
+                    for a in draw(st.lists(thetas, min_size=1, max_size=4))]
+            pts += [comp.center + r, comp.center - r, comp.center + 1j * r, comp.center - 1j * r]
+        else:
+            pts += [comp.center + comp.halfspan * t
+                    for t in draw(st.lists(ts, min_size=1, max_size=4))]
+            pts += list(comp.endpoints)
+        pts.append(comp.center)
+    return comps, _ulp_neighbours(pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_membership_geometries(), seed=st.integers(0, 2**32 - 1))
+def test_one_point_membership_matches_the_array_answer(case, seed):
+    # A point tested alone, as a Python complex or as np.complex128, gets
+    # the answer it gets inside an array of other points, from in_hole and
+    # from first_hole (which sorts and bands the array above four
+    # components), whatever the rounding that put the point within an ulp
+    # of a boundary.
+    comps, z = case
+    z = z[np.random.default_rng(seed).permutation(z.size)]
+    for comp in comps:
+        want = in_hole(comp, z).tolist()
+        assert [in_hole(comp, p) for p in z.tolist()] == want
+        assert [in_hole(comp, np.complex128(p)) for p in z.tolist()] == want
+    want = first_hole(comps, z).tolist()
+    assert [first_hole(comps, p) for p in z.tolist()] == want
+    assert [first_hole(comps, np.complex128(p)) for p in z.tolist()] == want
+    assert all(type(first_hole(comps, p)) is int for p in z[:4].tolist())
+
+
+@st.composite
+def _overlap_configurations(draw):
+    """Two to four inner components, random or touching: tangent disks, a
+    slit ending on a circle, a disk through a slit's endpoint, slits sharing
+    an endpoint or end to end, each within rounding of touching, one centre
+    maybe moved one ulp."""
+    scale = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    coord = st.floats(min_value=-4.0, max_value=4.0)
+    size = st.floats(min_value=0.05, max_value=1.5)
+    angle = st.floats(min_value=-3.2, max_value=3.2)
+
+    def unit():
+        if draw(st.booleans()):  # along an axis, where the boxes just touch
+            return draw(st.sampled_from([1 + 0j, -1 + 0j, 1j, -1j]))
+        a = draw(angle)
+        return complex(math.cos(a), math.sin(a))
+
+    comps, count = [], draw(st.integers(min_value=2, max_value=4))
+    while len(comps) < count:
+        how = draw(st.sampled_from(["disk", "slit", "touch"])) if comps else "disk"
+        if how != "touch":
+            c = complex(scale * draw(coord), scale * draw(coord))
+            comps.append(disk(c, scale * draw(size)) if how == "disk"
+                         else slit(c, scale * draw(size) * unit()))
+            continue
+        base = comps[draw(st.integers(min_value=0, max_value=len(comps) - 1))]
+        u = unit()
+        point = (base.center + base.radius * u if base.kind == "disk"
+                 else base.endpoints[draw(st.integers(min_value=0, max_value=1))])
+        if draw(st.booleans()):
+            r = scale * draw(size)
+            comps.append(disk(point + r * u if base.kind == "slit"
+                              else base.center + (base.radius + r) * u, r))
+        else:
+            h = scale * draw(size) * (base.halfspan / abs(base.halfspan)
+                                      if base.kind == "slit" and draw(st.booleans()) else unit())
+            comps.append(slit(point + h, h))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=len(comps) - 1))
+        c = comps[k]
+        moved = complex(np.nextafter(c.center.real, draw(st.sampled_from([np.inf, -np.inf]))),
+                        c.center.imag)
+        comps[k] = BoundaryComponent(c.kind, moved, c.extent, c.role)
+    return comps
+
+
+@settings(max_examples=300, deadline=None)
+@given(comps=_overlap_configurations())
+# Tangent along x: components_overlap finds them touching, while the right
+# edge of the first box falls one ulp short of the left edge of the second.
+@example(comps=[disk(1.2127437817821036 + 0.3j, 1.1936488591464942),
+                disk(2.5924890417512385 + 0.3j, 0.18609640082264062)])
+def test_direct_overlap_pairs_match_the_boxed_path(comps):
+    # Up to four components are tested pair by pair; far disks appended
+    # after them send the same pairs through the bounding-box path, which
+    # must find the same first pair.
+    scale = max(abs(c.center) + abs(c.extent) for c in comps)
+    far = [disk(complex(1e4 * scale * (k + 2), 0.0), scale) for k in range(5 - len(comps))]
+    assert first_overlap(comps) == first_overlap(comps + far)

@@ -59,3 +59,18 @@ def test_qr_kernels_times_every_kernel_on_both_cantor_paths(tmp_path):
     assert rows[0] == "source,rows,cols,kernel,round,seconds"
     # Three single-solve fits and two Cantor fits, each timed once per kernel.
     assert len(rows) == 1 + 5 * 3
+
+
+def test_solve_stages_splits_every_op(tmp_path):
+    stdout = _run("solve_stages.py", tmp_path, "--count", "3", "--rounds", "1")
+    lines = stdout.splitlines()
+    assert lines[0].startswith("single_solves stages: seed 5, 3 inputs, 1 rounds, BLAS threads 1")
+    assert lines[1].split() == ["round", "us/op", "problem", "assembly", "QR", "certificate",
+                                "u", "grad_u", "other"]
+    for label in ("1", "median"):
+        row = next(line.split() for line in lines[2:] if line.split()[0] == label)
+        shares = [float(cell.rstrip("%")) for cell in row[2:]]
+        assert float(row[1]) > 0 and len(shares) == 7
+        assert all(s >= 0 for s in shares[:-1]) and abs(sum(shares) - 100.0) < 0.5
+    rows = (tmp_path / "solve_stages.csv").read_text().splitlines()
+    assert rows[0] == "round,stage,seconds_per_op" and len(rows) == 1 + 7
