@@ -291,8 +291,10 @@ class Expansion:
 
 
 # Longer inputs are evaluated in near-equal chunks of at most this many
-# points, so one chunk's power table stays under 1 MB for two blocks of
-# degree 12: blocks x points x degree complex entries.
+# points.  That caps points, not blocks: one chunk's power tables hold
+# blocks x points x degree complex entries, under 1 MB for two blocks of
+# degree 12 but 16.8 MB for a level-8 Cantor expansion (256 blocks of
+# degree 2).
 _CHUNK_POINTS = 2048
 
 

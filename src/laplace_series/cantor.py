@@ -27,9 +27,8 @@ from .solver import (
 
 MAX_LEVEL = 12
 MAX_GENERAL_LEVEL = 10
-MAX_SYMMETRIC_LEVEL = 11
-# Rows of the symmetric fold built per pair of design_matrix calls; only the
-# two full-width right-half matrices of one block are held besides the fold.
+# Rows of the symmetric fold built per pair of design_matrix calls; only one
+# full-width right-half matrix of one block is held besides the fold.
 FOLD_BLOCK_ROWS = 1024
 
 
@@ -84,21 +83,19 @@ def cantor_measures(m: int, use_symmetry: bool = False) -> list[float]:
     MAX_GENERAL_LEVEL; its matrix at the next level would need about 5.4 GB.
     It fits the same system as cantor_solution but skips the certificate,
     which the measures do not use.
-    With ``use_symmetry`` (up to MAX_SYMMETRIC_LEVEL) the solve uses the mirror
-    symmetry u(z) = u(-z) = u(conj z): the mirror of right-half slit j is the
-    slit at -c_j, whose basis at z is slit j's basis at -z.  So each folded
-    column is phi_j(z) + phi_j(-z) over the right-half slits alone, collocated
-    on their upper sides.  The sine columns drop because u is even in y, and
-    the folded log coefficients sum to -1/2 exactly.  The fold is assembled
-    FOLD_BLOCK_ROWS rows at a time, so besides it only one block's two
-    right-half matrices are held.  The result agrees with the general path to
-    solver accuracy.
+    With ``use_symmetry`` (every level up to MAX_LEVEL) the solve uses the
+    mirror symmetry u(z) = u(-z) = u(conj z): the mirror of right-half slit j
+    is the slit at -c_j, whose basis at z is slit j's basis at -z.  So each
+    folded column is phi_j(z) + phi_j(-z) over the right-half slits alone,
+    collocated on their upper sides.  The sine columns drop because u is even
+    in y, and the folded log coefficients sum to -1/2 exactly.  The fold is
+    assembled FOLD_BLOCK_ROWS rows at a time from one right-half matrix at a
+    time: the matrix at z is copied in, then the one at -z added.  The result
+    agrees with the general path to solver accuracy.
     """
-    limit = MAX_SYMMETRIC_LEVEL if use_symmetry else MAX_GENERAL_LEVEL
-    if m > limit:
-        further = not use_symmetry and m <= MAX_SYMMETRIC_LEVEL
-        hint = f"; use_symmetry=True reaches {MAX_SYMMETRIC_LEVEL}" if further else ""
-        raise ValueError(f"level {m} does not fit in memory on this path (at most {limit}){hint}")
+    if not use_symmetry and MAX_GENERAL_LEVEL < m <= MAX_LEVEL:
+        raise ValueError(f"level {m} does not fit in memory on this path "
+                         f"(at most {MAX_GENERAL_LEVEL}); use_symmetry=True reaches {MAX_LEVEL}")
     if use_symmetry:
         return _symmetric_measures(m)
     problem, spec = cantor_problem(m), cantor_spec(m)
@@ -109,7 +106,7 @@ def cantor_measures(m: int, use_symmetry: bool = False) -> list[float]:
 
 def cantor_inner_half_sum(m: int) -> float:
     """Total measure of the half of the right-half-plane slits closer to the
-    origin, from the symmetric fold (so up to MAX_SYMMETRIC_LEVEL)."""
+    origin, from the symmetric fold (so up to MAX_LEVEL)."""
     if m < 2:
         raise ValueError("inner-half sums need m >= 2")
     measures = cantor_measures(m, use_symmetry=True)
@@ -126,18 +123,22 @@ def _symmetric_measures(m: int) -> list[float]:
     z = np.concatenate([zj[:h] for (zj, _), h in zip(nodes, halves)])
     w = np.concatenate([wj[:h] for (_, wj), h in zip(nodes, halves)])
     owner = np.repeat(np.arange(nr), halves)
-    # The constant, the log and the cosine columns of the right-half layout,
-    # filled block by block into a Fortran-ordered fold that the solve
-    # factors in place.
-    layout = column_layout(right, spec)
-    keep = np.r_[: layout[0].start, layout[0].start : layout[-1].stop : 2]
-    folded = np.empty((z.size, keep.size), order="F")
+    # The constant, the log and the cosine columns of the right-half layout
+    # (every other column from k0, where the series pairs start), filled
+    # block by block into a Fortran-ordered fold that the solve factors in
+    # place.
+    k0 = column_layout(right, spec)[0].start
+    folded = np.empty((z.size, k0 + sum(spec.degrees)), order="F")
     for start in range(0, z.size, FOLD_BLOCK_ROWS):
         rows = slice(start, start + FOLD_BLOCK_ROWS)
+        head, cos = folded[rows, :k0], folded[rows, k0:]
         A = design_matrix(z[rows], right, spec, preimages=w[rows], owner=owner[rows])
-        A += design_matrix(-z[rows], right, spec)  # -z lies on the mirror slits
-        folded[rows] = A[:, keep]
-    del A
+        head[:], cos[:] = A[:, :k0], A[:, k0::2]
+        del A
+        A = design_matrix(-z[rows], right, spec)  # -z lies on the mirror slits
+        np.add(head, A[:, :k0], out=head)
+        np.add(cos, A[:, k0::2], out=cos)
+        del A
     folded[:, 0] = 1.0  # the constant, back to 1
     x = solve_with_log_sum(folded, -np.log(np.abs(z)), nr, -0.5)
     return [float(-d) for d in x[1 : 1 + nr]]

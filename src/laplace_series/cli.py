@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import ExpansionSpec, eval_expansion, outer_index
-from .cantor import MAX_GENERAL_LEVEL, MAX_SYMMETRIC_LEVEL, cantor_degree, cantor_measures
+from .cantor import MAX_GENERAL_LEVEL, MAX_LEVEL, cantor_degree, cantor_measures
 from .field import (
     EQUIPOTENTIAL,
     STREAMLINE,
@@ -417,8 +418,6 @@ def _write_outputs(files: dict) -> None:
                 fh.write(content)
             written.append(path)
     except OSError:
-        import os
-
         for path in written:
             try:
                 os.remove(path)
@@ -428,8 +427,6 @@ def _write_outputs(files: dict) -> None:
 
 
 def _resolve(outdir: str, path: str | None) -> str | None:
-    import os
-
     if path is None:
         return None
     return path if os.path.isabs(path) else os.path.join(outdir, path)
@@ -482,9 +479,9 @@ def _run_field_command(cfg: RunConfig, outdir: str, want_contours: bool,
 
 
 def _cmd_cantor(args) -> int:
-    if not args.symmetry and MAX_GENERAL_LEVEL < args.m <= MAX_SYMMETRIC_LEVEL:
+    if not args.symmetry and MAX_GENERAL_LEVEL < args.m <= MAX_LEVEL:
         raise ValueError(f"level {args.m} does not fit in memory without --symmetry "
-                         f"(at most {MAX_GENERAL_LEVEL}; {MAX_SYMMETRIC_LEVEL} with --symmetry)")
+                         f"(at most {MAX_GENERAL_LEVEL}; {MAX_LEVEL} with --symmetry)")
     measures = cantor_measures(args.m, use_symmetry=args.symmetry)
     doc = {
         "m": args.m,
@@ -534,6 +531,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--outdir", default=".", help="directory for output files")
 
 
+# Each config-driven subcommand: its help text, and whether it writes
+# contours, streamlines and the report.
+_FIELD_COMMANDS = {
+    "solve": ("solve and write report, field CSV, and optional SVG", True, True, True),
+    "contours": ("solve and write equipotential polylines", True, False, False),
+    "streamlines": ("solve and write streamline polylines", False, True, False),
+    "eval": ("solve and print u at the configured eval points", False, False, True),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lapseries",
@@ -541,17 +548,11 @@ def main(argv=None) -> int:
         "series expansion with least-squares boundary fitting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve and write report, field CSV, and optional SVG"),
-        ("contours", "solve and write equipotential polylines"),
-        ("streamlines", "solve and write streamline polylines"),
-        ("eval", "solve and print u at the configured eval points"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+    for name, (help_text, *_) in _FIELD_COMMANDS.items():
+        _add_common(sub.add_parser(name, help=help_text))
     pc = sub.add_parser("cantor", help="measure study of a middle-thirds level")
     pc.add_argument("-m", type=int, required=True, help=(
-        f"construction level (1..{MAX_GENERAL_LEVEL}; 1..{MAX_SYMMETRIC_LEVEL} with --symmetry)"))
+        f"construction level (1..{MAX_GENERAL_LEVEL}; 1..{MAX_LEVEL} with --symmetry)"))
     pc.add_argument("--symmetry", action="store_true", help="use the symmetry-reduced solve")
     pc.add_argument("-o", "--outdir", default=".", help="directory for output files")
 
@@ -559,16 +560,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "cantor":
             return _cmd_cantor(args)
-        cfg = _load_config(args)
-        if args.command == "solve":
-            return _run_field_command(cfg, args.outdir, True, True, True)
-        if args.command == "contours":
-            return _run_field_command(cfg, args.outdir, True, False, False)
-        if args.command == "streamlines":
-            return _run_field_command(cfg, args.outdir, False, True, False)
-        if args.command == "eval":
-            return _run_field_command(cfg, args.outdir, False, False, True)
-        raise AssertionError(args.command)
+        _, *wants = _FIELD_COMMANDS[args.command]
+        return _run_field_command(_load_config(args), args.outdir, *wants)
     except (ConfigError, GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

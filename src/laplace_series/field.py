@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,8 +224,9 @@ def _directions(exp, z, status, want_u=False):
     return k, None
 
 
-def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polyline]:
-    """Climb the gradient from every seed in lockstep; one Polyline per seed.
+def _trace(solution: Solution, seeds, values, opts: TraceOptions = None) -> list[Polyline]:
+    """Climb the gradient from every seed in lockstep; one Polyline per seed,
+    carrying that seed's entry of ``values``.
 
     Each pass makes one trial step on every live line: three vectorized f'
     stages (the first stage reuses the direction at the current point), the
@@ -302,9 +303,9 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
             if np.count_nonzero(capped := steps >= opts.max_steps):
                 stop(capped & ~done, STEP_LIMIT, False)
         if np.count_nonzero(done):
-            keep = ~done
-            line, z, u, k1, h, clear = line[keep], z[keep], u[keep], k1[keep], h[keep], clear[keep]
-            done = done[keep]
+            live = ~done
+            line, z, u, k1, h, clear = line[live], z[live], u[live], k1[live], h[live], clear[live]
+            done = done[live]
         if line.size == 0:
             break
         status = np.zeros(line.size, dtype=np.int8)
@@ -359,7 +360,7 @@ def _trace(solution: Solution, seeds, opts: TraceOptions = None) -> list[Polylin
                 left[close[hit]] = False
         if np.count_nonzero(left):
             stop(entries[left], LEFT_WINDOW, False)
-    return [_polyline(p, *end, problem, int(r)) for p, end, r in zip(paths, ends, rejected)]
+    return [_polyline(p, v, *end, int(r)) for p, v, end, r in zip(paths, values, ends, rejected)]
 
 
 def trace_streamline(solution: Solution, z0: complex, opts: TraceOptions = None) -> Polyline:
@@ -369,7 +370,8 @@ def trace_streamline(solution: Solution, z0: complex, opts: TraceOptions = None)
     increases, and the step does not jump across a slit.  This is the one-seed
     case of the lockstep tracer behind streamline_fan.
     """
-    return _trace(solution, [complex(z0)], opts)[0]
+    z0 = complex(z0)
+    return _trace(solution, [z0], [_seed_angle(z0, solution.problem)], opts)[0]
 
 
 def _seed_angle(z0: complex, problem) -> float:
@@ -377,7 +379,7 @@ def _seed_angle(z0: complex, problem) -> float:
     return math.atan2((z0 - origin).imag, (z0 - origin).real)
 
 
-def _polyline(points, termination, component_index, stagnated, problem,
+def _polyline(points, value, termination, component_index, stagnated,
               rejected_steps) -> Polyline:
     accepted_steps = len(points) - 1
     # Degenerate immediate stops get a microscopic pad so the polyline keeps
@@ -387,7 +389,7 @@ def _polyline(points, termination, component_index, stagnated, problem,
     return Polyline(
         points=tuple(points),
         kind=STREAMLINE,
-        value=_seed_angle(points[0], problem),
+        value=value,
         termination=termination,
         component_index=component_index,
         stagnated=stagnated,
@@ -411,8 +413,7 @@ def streamline_fan(solution: Solution, nseeds: int, eps: float, opts: TraceOptio
             raise ValueError(f"eps-circle around the source reaches components[{j}]")
     angles = [2.0 * math.pi * k / nseeds for k in range(nseeds)]
     seeds = [problem.source + eps * complex(math.cos(a), math.sin(a)) for a in angles]
-    lines = _trace(solution, seeds, opts)
-    return [replace(line, value=angle) for line, angle in zip(lines, angles)]
+    return _trace(solution, seeds, angles, opts)
 
 
 # Marching-squares lookup: cell corners 0..3 are (i,j),(i+1,j),(i+1,j+1),(i,j+1);
@@ -469,8 +470,8 @@ def _slit_cell_mask(problem, window, grid_n):
         pts = a + t * (b - a)
         ii = np.floor((pts.real - x0) / dx).astype(int)
         jj = np.floor((pts.imag - y0) / dy).astype(int)
-        keep = (ii >= 0) & (ii < grid_n - 1) & (jj >= 0) & (jj < grid_n - 1)
-        bad[jj[keep], ii[keep]] = True
+        inside = (ii >= 0) & (ii < grid_n - 1) & (jj >= 0) & (jj < grid_n - 1)
+        bad[jj[inside], ii[inside]] = True
     return bad
 
 

@@ -210,7 +210,7 @@ def _unit_grid(npts: int, offset: float) -> np.ndarray:
     Solves draw their fit and check grids from a few dozen (npts, offset)
     pairs (default_npts gives one count per degree), so boundary_nodes
     computes each grid of at most _CACHED_GRID_POINTS points once and keeps
-    it (_cached_unit_grid), as FFT libraries keep their twiddle factors.  A
+    it (_cached_unit_grid), as FFT libraries store their twiddle factors.  A
     degree takes at most four grids (fit and check, disk and slit), so 128
     hold those of 32 degrees.
     """

@@ -380,7 +380,7 @@ def solve_problem(problem: Problem, spec: ExpansionSpec = None, npts=None) -> So
     return Solution(problem, expansion, residual, report)
 
 
-# Check-grid offsets (fractions of the sample spacing) keep the certificate
+# Check-grid offsets (fractions of the sample spacing) hold the certificate
 # grid disjoint from the fit grid, which uses 0.0 for disks and 0.5 for slits.
 _CHECK_OFFSET = {DISK: 0.5, SLIT: 0.25}
 

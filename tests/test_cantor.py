@@ -21,6 +21,7 @@ from laplace_series.cantor import (
     cantor_solution,
     cantor_spec,
 )
+from laplace_series.cli import main
 from laplace_series.solver import boundary_residual, harmonic_measures, solve_problem
 
 PAPER_TABLES = {
@@ -144,26 +145,47 @@ def test_symmetric_fold_never_builds_the_full_width_matrix():
 
 def test_symmetric_fold_is_built_in_row_blocks():
     # Counts bytes, times nothing.  At m = 9 the fold is 4096 rows by
-    # 1 + 256 + 256*2 columns; the right-half matrices are 1 + 256 + 256*4
-    # columns wide.  Built FOLD_BLOCK_ROWS rows at a time, nothing of their
-    # full height is held besides the fold itself.
+    # 1 + 256 + 256*2 columns; a right-half matrix is 1 + 256 + 256*4 columns
+    # wide.  Built FOLD_BLOCK_ROWS rows at a time, nothing of full height is
+    # held besides the fold itself, and one block matrix at a time: the one at
+    # z goes before the one at -z is made, so the two never sit side by side.
     folded_bytes = 4096 * 769 * 8
     block_bytes = cantor.FOLD_BLOCK_ROWS * 1281 * 8
     assert cantor.FOLD_BLOCK_ROWS < 4096
-    assert _traced_peak(_symmetric_measures, 9) < folded_bytes + 4 * block_bytes
+    assert _traced_peak(_symmetric_measures, 9) < folded_bytes + 3 * block_bytes // 2
 
 
 def test_levels_beyond_memory_fail_up_front():
-    # The general matrix at m = 11 would be 65536 x 10241 (5.4 GB), the fold at
-    # m = 12 about as large: both are refused before anything is allocated.
+    # The general matrix at m = 11 would be 65536 x 10241 (5.4 GB): levels
+    # above MAX_GENERAL_LEVEL are refused on that path, and levels above
+    # MAX_LEVEL, which cantor_components does not build, on both, before
+    # anything is allocated.
     def refuse(m, use_symmetry, match):
         with pytest.raises(ValueError, match=match):
             cantor_measures(m, use_symmetry=use_symmetry)
 
-    assert _traced_peak(refuse, 11, False, "use_symmetry=True reaches 11") < 2**20
-    assert _traced_peak(refuse, 12, True, "at most 11") < 2**20
-    assert _traced_peak(refuse, 12, False, r"at most 10\)$") < 2**20
+    for m in (11, 12):
+        assert _traced_peak(refuse, m, False, "use_symmetry=True reaches 12$") < 2**20
+    for use_symmetry in (False, True):
+        assert _traced_peak(refuse, 13, use_symmetry, r"level must be in 1\.\.12") < 2**20
     assert len(cantor_components(12).slits) == 4096
+
+
+def test_level_twelve_takes_the_symmetric_fold(monkeypatch, tmp_path):
+    # The fold is not built here: a stub stands in for it, so nothing of
+    # level 12's size is allocated.  The refusal of the general path above
+    # MAX_GENERAL_LEVEL does not reach the symmetric one.
+    levels = []
+
+    def fold(m):
+        levels.append(m)
+        return [0.5 / 2 ** (m - 1)] * 2 ** (m - 1)
+
+    monkeypatch.setattr(cantor, "_symmetric_measures", fold)
+    assert cantor_measures(12, use_symmetry=True) == [0.5 / 2048] * 2048
+    assert main(["cantor", "-m", "12", "--symmetry", "-o", str(tmp_path)]) == 0
+    assert levels == [12, 12]
+    assert (tmp_path / "cantor_m12.json").exists()
 
 
 def test_mirror_symmetry_of_general_solve():

@@ -266,8 +266,8 @@ def test_cli_cantor_level_beyond_the_general_path_names_the_flag(tmp_path, capsy
     assert main(["cantor", "-m", "11", "-o", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "--symmetry" in err and "use_symmetry" not in err
-    assert main(["cantor", "-m", "12", "--symmetry", "-o", str(tmp_path)]) == 1
-    assert "at most 11" in capsys.readouterr().err
+    assert main(["cantor", "-m", "13", "--symmetry", "-o", str(tmp_path)]) == 1
+    assert "level must be in 1..12" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
