@@ -12,7 +12,6 @@ from .basis import (
     eval_gradient,
 )
 from .cantor import (
-    CantorLevel,
     cantor_components,
     cantor_inner_half_sum,
     cantor_measures,
@@ -51,7 +50,6 @@ from .solver import (
 
 __all__ = [
     "BoundaryComponent",
-    "CantorLevel",
     "DomainError",
     "Expansion",
     "ExpansionSpec",

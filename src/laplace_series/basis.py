@@ -234,17 +234,16 @@ class Expansion:
     stored copy: a read-only, finite copy of what the constructor is given.
     ``constant`` is C in the module formula, ``log_coeffs`` the d_j and
     ``blocks[slot]`` the a_k + i b_k of the slot-th inner block (the outer
-    block last), all read from ``vector`` as views.  Disk and slit log
-    columns both behave like log|z - c_j| far away, so for an exterior
-    problem whose log coefficients sum to minus the source strength, C is
-    the value u tends to at infinity.
+    block last), all read from ``vector`` as views.  A ``source`` adds the
+    unit term log|z - source|.  Disk and slit log columns both behave like
+    log|z - c_j| far away, so for an exterior problem whose log coefficients
+    sum to minus the source strength, C is the value u tends to at infinity.
     """
 
     components: tuple[BoundaryComponent, ...]
     spec: ExpansionSpec
     vector: np.ndarray
     source: complex | None = None
-    source_strength: float = 0.0
     log_coeffs: np.ndarray = field(init=False, repr=False)
     blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
@@ -255,8 +254,8 @@ class Expansion:
         vec = np.array(self.vector, dtype=float)
         if vec.shape != (layout[-1].stop,):
             raise ValueError(f"coefficients do not fill the {layout[-1].stop} columns of the layout")
-        if not (np.isfinite(vec).all() and math.isfinite(self.source_strength)):
-            raise ValueError("expansion coefficients must be finite")
+        if not (np.isfinite(vec).all() and (self.source is None or np.isfinite(self.source))):
+            raise ValueError("expansion coefficients and source must be finite")
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)
         object.__setattr__(self, "log_coeffs", vec[1 : layout[0].start])
@@ -265,6 +264,10 @@ class Expansion:
     @property
     def constant(self) -> float:
         return float(self.vector[0])
+
+    @property
+    def source_strength(self) -> float:
+        return 1.0 if self.source is not None else 0.0
 
     # Equal when the geometry, the source and every coefficient are.
     def __eq__(self, other):
@@ -275,13 +278,12 @@ class Expansion:
 
     def _key(self):
         coeffs = tuple(self.vector.tolist())
-        return self.components, self.spec, self.source, self.source_strength, coeffs
+        return self.components, self.spec, self.source, coeffs
 
     # A pickle rebuilds the expansion from its fields, so the copy's views
     # and read-only vector are made as the constructor makes them.
     def __reduce__(self):
-        return Expansion, (self.components, self.spec, self.vector, self.source,
-                           self.source_strength)
+        return Expansion, (self.components, self.spec, self.vector, self.source)
 
     # The evaluation plan, derived from the fields on the first evaluation;
     # equality, hashing and pickles leave it out.
@@ -371,14 +373,14 @@ def _evaluate(exp: Expansion, z, want_u=True, want_fp=False):
 def _evaluate_flat(exp: Expansion, z, want_u, want_fp):
     """_evaluate on a 1-D array of points: (u, f') as arrays or None."""
     blocks, tables = exp._plan
-    if exp.source_strength != 0.0:
+    if exp.source is not None:
         # count_nonzero is the cheapest test on a few dozen points; z - s is
-        # 0 exactly where z == s.  The source term starts u and f'.
+        # 0 exactly where z == s.  The unit source term starts u and f'.
         zs = z - exp.source
         if np.count_nonzero(zs) < z.size:
             raise DomainError("the field is unbounded at the source point")
-        u = exp.source_strength * np.log(np.abs(zs)) + exp.constant if want_u else None
-        fp = exp.source_strength / zs if want_fp else None
+        u = np.log(np.abs(zs)) + exp.constant if want_u else None
+        fp = 1.0 / zs if want_fp else None
     else:
         u = np.full(z.shape, exp.constant) if want_u else None
         fp = np.zeros(z.shape, dtype=complex) if want_fp else None

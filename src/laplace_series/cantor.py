@@ -9,8 +9,6 @@ tiny degree already gives six digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import ExpansionSpec, column_layout, design_matrix
@@ -32,18 +30,11 @@ MAX_GENERAL_LEVEL = 10
 FOLD_BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class CantorLevel:
-    m: int
-    slits: tuple[BoundaryComponent, ...]
-    total_span: tuple[float, float] = (-1.5, 1.5)
-
-
 def cantor_degree(m: int) -> int:
     return max(2, 6 - m)
 
 
-def cantor_components(m: int) -> CantorLevel:
+def cantor_components(m: int) -> tuple[BoundaryComponent, ...]:
     """The 2^m slits of the level-m approximation, left to right.
 
     Left ends are exact integers in units of 1/(2*3^m), in which every slit
@@ -58,12 +49,11 @@ def cantor_components(m: int) -> CantorLevel:
     for _ in range(m):
         length //= 3
         lefts = [a + shift for a in lefts for shift in (0, 2 * length)]
-    slits = tuple(slit((a + 3) / unit, 3 / unit) for a in lefts)
-    return CantorLevel(m=m, slits=slits, total_span=(-1.5, 1.5))
+    return tuple(slit((a + 3) / unit, 3 / unit) for a in lefts)
 
 
 def cantor_problem(m: int) -> Problem:
-    return green_problem(cantor_components(m).slits, source=0j)
+    return green_problem(cantor_components(m), source=0j)
 
 
 def cantor_spec(m: int, nslits: int = None) -> ExpansionSpec:
@@ -114,7 +104,7 @@ def cantor_inner_half_sum(m: int) -> float:
 
 
 def _symmetric_measures(m: int) -> list[float]:
-    right = cantor_components(m).slits[2 ** (m - 1) :]
+    right = cantor_components(m)[2 ** (m - 1) :]
     nr = len(right)
     spec = cantor_spec(m, nr)
     npts = default_npts(spec)

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .solver import (
     Problem,
     Solution,
     default_npts,
-    default_spec,
     harmonic_measures,
     solve_problem,
 )
@@ -167,12 +166,20 @@ def _parse_component(entry, idx: int) -> tuple[BoundaryComponent, float]:
 
 def parse_problem_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON problem configuration."""
+    return _validate_config(_decode_config(text))
+
+
+def _decode_config(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError("the configuration must be a JSON object")
+    return raw
+
+
+def _validate_config(raw: dict) -> RunConfig:
     _reject_unknown(raw, _TOP_KEYS, "the configuration")
 
     domain = raw.get("domain", EXTERIOR)
@@ -272,8 +279,8 @@ def _sig13(x: float) -> float:
     return float(f"{x:.12e}")
 
 
-def _auto_levels(solution: Solution, window, n: int = 12) -> tuple[float, ...]:
-    """Regularly spaced levels spanning the field's bulk over the window."""
+def _auto_levels(solution: Solution, window) -> tuple[float, ...]:
+    """Twelve regularly spaced levels spanning the field's bulk over the window."""
     x0, x1, y0, y1 = window
     xs = np.linspace(x0, x1, 60)
     ys = np.linspace(y0, y1, 60)
@@ -289,7 +296,7 @@ def _auto_levels(solution: Solution, window, n: int = 12) -> tuple[float, ...]:
     lo, hi = np.percentile(u, 4.0), np.percentile(u, 96.0)
     if not (hi > lo):
         return ()
-    return tuple(float(v) for v in np.linspace(lo, hi, n + 2)[1:-1])
+    return tuple(float(v) for v in np.linspace(lo, hi, 14)[1:-1])
 
 
 def build_report(solution: Solution, eval_points=()) -> dict:
@@ -397,11 +404,11 @@ def _default_eps(problem: Problem) -> float:
 
 
 def _field_polylines(solution: Solution, cfg: RunConfig, want_contours: bool,
-                     want_streamlines: bool, grid_n: int = 240):
+                     want_streamlines: bool):
     polylines = []
     if want_contours:
         levels = cfg.levels if cfg.levels is not None else _auto_levels(solution, cfg.window)
-        polylines.extend(extract_contours(solution, levels, cfg.window, grid_n))
+        polylines.extend(extract_contours(solution, levels, cfg.window, grid_n=240))
     if want_streamlines and solution.problem.source is not None and cfg.streamlines.count > 0:
         eps = cfg.streamlines.eps or _default_eps(solution.problem)
         opts = TraceOptions(window=cfg.window)
@@ -505,22 +512,16 @@ def _cmd_cantor(args) -> int:
 
 
 def _load_config(args) -> RunConfig:
+    """The config file with the flags set as its keys, checked as the keys are."""
     with open(args.config, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    cfg = parse_problem_config(text)
-    if args.degree is not None or args.npts is not None or args.no_scale:
-        scaled = False if args.no_scale else cfg.spec.scaled
-        if args.degree is not None:
-            spec = default_spec(cfg.problem, args.degree, scaled)
-        else:
-            spec = replace(cfg.spec, scaled=scaled)
-        npts = cfg.npts
-        if args.degree is not None and args.npts is None:
-            npts = tuple(default_npts(spec))
-        if args.npts is not None:
-            npts = tuple(args.npts for _ in cfg.problem.components)
-        cfg = replace(cfg, spec=spec, npts=npts)
-    return cfg
+        raw = _decode_config(fh.read())
+    if args.degree is not None:
+        raw["degree"], raw["npts"] = args.degree, args.npts  # no --npts: the default
+    elif args.npts is not None:
+        raw["npts"] = args.npts
+    if args.no_scale:
+        raw["scaled"] = False
+    return _validate_config(raw)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -562,7 +563,7 @@ def main(argv=None) -> int:
             return _cmd_cantor(args)
         _, *wants = _FIELD_COMMANDS[args.command]
         return _run_field_command(_load_config(args), args.outdir, *wants)
-    except (ConfigError, GeometryError, ValueError, OSError) as exc:
+    except (ConfigError, GeometryError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -48,6 +48,10 @@ STEP_LIMIT = "step_limit"
 EQUIPOTENTIAL = "equipotential"
 STREAMLINE = "streamline"
 
+# A streamline stops within DELTA_STOP of a boundary; no step is shorter than H_MIN.
+DELTA_STOP = 1e-3
+H_MIN = 1e-10
+
 
 @dataclass(frozen=True)
 class Polyline:
@@ -77,15 +81,13 @@ class Polyline:
 @dataclass(frozen=True)
 class TraceOptions:
     h_max: float = 0.05
-    delta_stop: float = 1e-3
     max_steps: int = 20000
     window: tuple[float, float, float, float] | None = None
     step_tol: float = 1e-6
-    h_min: float = 1e-10
 
 
-def default_window(problem, pad: float = 1.6) -> tuple[float, float, float, float]:
-    """A square window around all components and the source."""
+def default_window(problem) -> tuple[float, float, float, float]:
+    """A square window 1.6 times the extent (at least 2) of the components and source."""
     lo, hi = bounding_boxes(problem.components)
     corners = [lo, hi]
     if problem.source is not None:
@@ -95,7 +97,7 @@ def default_window(problem, pad: float = 1.6) -> tuple[float, float, float, floa
         corners = np.zeros((1, 2))
     (x0, y0), (x1, y1) = corners.min(axis=0), corners.max(axis=0)
     cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-    half = max(x1 - x0, y1 - y0, 2.0) * pad / 2.0
+    half = max(x1 - x0, y1 - y0, 2.0) * 1.6 / 2.0
     return (float(cx - half), float(cx + half), float(cy - half), float(cy + half))
 
 
@@ -262,7 +264,7 @@ def _trace(solution: Solution, seeds, values, opts: TraceOptions = None) -> list
     exp = solution.expansion
     opts = opts or TraceOptions()
     window = opts.window or default_window(problem)
-    tol, h_min = opts.step_tol, opts.h_min
+    tol = opts.step_tol
     z = np.array(seeds, dtype=complex)
     if np.count_nonzero((first_hole(problem.components, z) >= 0) | ~_in_window(window, z)):
         raise ValueError("streamline seed lies outside the domain")
@@ -280,8 +282,8 @@ def _trace(solution: Solution, seeds, values, opts: TraceOptions = None) -> list
     done = np.zeros(z.size, dtype=bool)
     # clear[n] is a lower bound on the distance from z[n] to every boundary,
     # and far, with a margin, the largest at which the proximity stop fires.
-    clear = _near_component(problem, z, opts.delta_stop)[1]
-    far = max((_stop_reach(c, opts.delta_stop) for c in problem.components), default=0.0)
+    clear = _near_component(problem, z, DELTA_STOP)[1]
+    far = max((_stop_reach(c, DELTA_STOP) for c in problem.components), default=0.0)
     far *= 1.0 + 1e-6
 
     def stop(entries, termination, stagnated, components=None):
@@ -319,7 +321,7 @@ def _trace(solution: Solution, seeds, values, opts: TraceOptions = None) -> list
         # keeps err = 0 from dividing by zero.
         grow = 0.9 * (tol / np.maximum(err, 1e-3 * tol)) ** (1.0 / 3.0)
         ok = status == _OK
-        shrink = ok & (err > tol) & (h > h_min)
+        shrink = ok & (err > tol) & (h > H_MIN)
         rest = ok & ~shrink
         # Only lines in rest are tested, so cross lies in rest: the others'
         # steps are void.  A step shorter than its line's clearance crosses
@@ -333,7 +335,7 @@ def _trace(solution: Solution, seeds, values, opts: TraceOptions = None) -> list
         descend = (kept := rest & ~cross) & (u_new <= u)
         accept = kept & ~descend
         undefined = status == _UNDEFINED
-        if np.count_nonzero(tiny := h <= 4.0 * h_min):
+        if np.count_nonzero(tiny := h <= 4.0 * H_MIN):
             if np.count_nonzero(bounce := cross & tiny):
                 stop(bounce, HIT_BOUNDARY, False, crossed[bounce])
             if np.count_nonzero(stuck := (undefined | descend) & tiny):
@@ -347,14 +349,14 @@ def _trace(solution: Solution, seeds, values, opts: TraceOptions = None) -> list
         z[entries], u[entries], k1[entries] = za, u_new[entries], kd[entries]
         clear[entries] -= length[entries]
         h = np.where(accept, np.minimum(h * np.minimum(4.0, grow), opts.h_max), np.where(
-            shrink, np.maximum(h * np.maximum(0.25, grow), h_min),
-            np.where(halve, np.maximum(h / 2.0, h_min), h)))
+            shrink, np.maximum(h * np.maximum(0.25, grow), H_MIN),
+            np.where(halve, np.maximum(h / 2.0, H_MIN), h)))
         for i, p in zip(taken.tolist(), za.tolist()):
             paths[i].append(p)
         left = ~_in_window(window, za)
         # Only a point within far of some boundary can be near one.
         if (close := np.flatnonzero(clear[entries] <= far)).size:
-            near, clear[entries[close]] = _near_component(problem, za[close], opts.delta_stop)
+            near, clear[entries[close]] = _near_component(problem, za[close], DELTA_STOP)
             if np.count_nonzero(hit := near >= 0):
                 stop(entries[close[hit]], HIT_BOUNDARY, False, near[hit])
                 left[close[hit]] = False
@@ -455,23 +457,26 @@ def _domain_mask(problem, Z):
     return ok
 
 
-def _slit_cell_mask(problem, window, grid_n):
-    """Cells crossed by a slit; interpolating u across a slit is meaningless."""
-    x0, x1, y0, y1 = window
-    dx = (x1 - x0) / (grid_n - 1)
-    dy = (y1 - y0) / (grid_n - 1)
-    bad = np.zeros((grid_n - 1, grid_n - 1), dtype=bool)
+def _slit_cell_mask(problem, xs, ys):
+    """Cells of the grid xs x ys that a slit meets, if only at a corner: those
+    in the slit's box whose corners are not all strictly on one side of its
+    line.  Interpolating u across a slit is meaningless."""
+    bad = np.zeros((ys.size - 1, xs.size - 1), dtype=bool)
     for comp in problem.components:
         if comp.kind != SLIT:
             continue
         a, b = comp.endpoints
-        nsmp = 8 * grid_n
-        t = np.linspace(0.0, 1.0, nsmp)
-        pts = a + t * (b - a)
-        ii = np.floor((pts.real - x0) / dx).astype(int)
-        jj = np.floor((pts.imag - y0) / dy).astype(int)
-        inside = (ii >= 0) & (ii < grid_n - 1) & (jj >= 0) & (jj < grid_n - 1)
-        bad[jj[inside], ii[inside]] = True
+        # The cells in the slit's box: columns i[0]..i[-1], rows j[0]..j[-1].
+        i = np.flatnonzero((xs[:-1] <= max(a.real, b.real)) & (xs[1:] >= min(a.real, b.real)))
+        j = np.flatnonzero((ys[:-1] <= max(a.imag, b.imag)) & (ys[1:] >= min(a.imag, b.imag)))
+        if not (i.size and j.size):
+            continue
+        x, y, d = xs[i[0] : i[-1] + 2], ys[j[0] : j[-1] + 2, None], b - a
+        # The cross product of d with (node - a): its sign is the node's side.
+        side = d.real * (y - a.imag) - d.imag * (x - a.real)
+        corners = np.stack([side[:-1, :-1], side[:-1, 1:], side[1:, :-1], side[1:, 1:]])
+        bad[j[0] : j[-1] + 1, i[0] : i[-1] + 1] |= (
+            (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0))
     return bad
 
 
@@ -494,7 +499,7 @@ def extract_contours(solution: Solution, levels, window, grid_n: int):
     if mask.any():
         U[mask] = eval_expansion(solution.expansion, Z[mask])
     cell_ok = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
-    cell_ok &= ~_slit_cell_mask(solution.problem, window, grid_n)
+    cell_ok &= ~_slit_cell_mask(solution.problem, xs, ys)
 
     out = []
     for level in levels:
@@ -603,14 +608,13 @@ def _chain_segments(segments):
         yield chain, chain[0] == chain[-1]
 
 
-def slit_side_measure(solution: Solution, slit_index: int, side: str, nquad: int = 256,
-                      offset: float = None) -> float:
+def slit_side_measure(solution: Solution, slit_index: int, side: str) -> float:
     """Harmonic measure carried by one side of a slit.
 
-    Integrates the flux (1/2pi) int du/dn ds along an offset contour hugging
-    the side: the image of half the circle |w| = 1 + mu under the slit map,
-    whose quadrature nodes cluster at the slit endpoints.  ``side`` is
-    "facing" (toward the source) or "away".
+    Integrates the flux (1/2pi) int du/dn ds by 256-node Gauss-Legendre
+    quadrature along the image of half the circle |w| = 1 + 1e-4 under the
+    slit map, which hugs the side and clusters the nodes at the endpoints.
+    ``side`` is "facing" (toward the source) or "away".
     """
     problem = solution.problem
     comp = problem.components[slit_index]
@@ -618,11 +622,6 @@ def slit_side_measure(solution: Solution, slit_index: int, side: str, nquad: int
         raise ValueError(f"components[{slit_index}] is not a slit")
     if side not in ("facing", "away"):
         raise ValueError("side must be 'facing' or 'away'")
-    if nquad < 2:
-        raise ValueError("nquad must be >= 2")
-    if offset is None:
-        offset = 1e-4 * abs(comp.halfspan)
-    mu = offset / abs(comp.halfspan)
 
     origin = problem.source if problem.source is not None else 0j
     # The upper half of the w-circle maps to the side displayed in direction
@@ -630,12 +629,12 @@ def slit_side_measure(solution: Solution, slit_index: int, side: str, nquad: int
     upper_is_facing = ((1j * comp.halfspan).conjugate() * (origin - comp.center)).real > 0
     want_upper = (side == "facing") == upper_is_facing
 
-    nodes, weights = np.polynomial.legendre.leggauss(nquad)
+    nodes, weights = np.polynomial.legendre.leggauss(256)
     if want_upper:
         theta = 0.5 * np.pi * (nodes + 1.0)
     else:
         theta = np.pi + 0.5 * np.pi * (nodes + 1.0)
-    w = (1.0 + mu) * np.exp(1j * theta)
+    w = (1.0 + 1e-4) * np.exp(1j * theta)
     z = joukowski_forward(comp.center, comp.halfspan, w)
     dz_dtheta = comp.halfspan / 2.0 * (1.0 - w**-2) * 1j * w
     fp = complex_derivative(solution.expansion, z)

@@ -88,8 +88,9 @@ class Problem:
     """A Laplace problem: geometry, domain kind, optional log source, boundary data.
 
     ``boundary_data[j]`` is either a constant or a real function of boundary
-    position (called with an array of complex points).  Degenerate geometry is
-    rejected here, not discovered mid-solve.
+    position (called with an array of complex points).  Degenerate geometry, a
+    non-finite source and non-finite constant data are rejected here, not
+    discovered mid-solve.
     """
 
     components: tuple[BoundaryComponent, ...]
@@ -105,10 +106,15 @@ class Problem:
             object.__setattr__(self, "boundary_data", tuple(self.boundary_data))
         if self.source is not None:
             object.__setattr__(self, "source", complex(self.source))
+            if not np.isfinite(self.source):
+                raise ValueError(f"the source point must be finite, got {self.source}")
         if self.domain_kind not in (EXTERIOR, BOUNDED):
             raise ValueError(f"unknown domain kind {self.domain_kind!r}")
         if len(self.boundary_data) != len(self.components):
             raise ValueError("boundary_data must give one entry per component")
+        for j, g in enumerate(self.boundary_data):
+            if not (callable(g) or math.isfinite(g)):
+                raise ValueError(f"boundary_data[{j}] must be finite, got {g}")
         self._validate_geometry()
 
     def _validate_geometry(self):
@@ -373,7 +379,7 @@ def solve_problem(problem: Problem, spec: ExpansionSpec = None, npts=None) -> So
     else:
         x = solve_least_squares(A, b, overwrite_a=True)
     del A, b  # the certificate's row blocks take the fit matrix's place
-    expansion = Expansion(problem.components, spec, x, problem.source, problem.source_strength)
+    expansion = Expansion(problem.components, spec, x, problem.source)
     report = FitReport(rows=rows, cols=cols, npts=tuple(int(n) for n in npts))
     sol = Solution(problem, expansion, 0.0, report)
     residual = boundary_residual(sol, [4 * int(n) for n in npts])
@@ -433,15 +439,15 @@ def harmonic_measures(solution: Solution) -> MeasureReport:
     )
 
 
-def circle_flux(solution: Solution, center: complex, radius: float, nnodes: int = 512) -> float:
+def circle_flux(solution: Solution, center: complex, radius: float) -> float:
     """Line integral of the outward normal derivative around a circle.
 
-    Trapezoid rule on uniform nodes; equals 2*pi*d_j when the circle encloses
-    only component j, and 2*pi*s around the source alone.
+    Trapezoid rule on 512 uniform nodes; equals 2*pi*d_j when the circle
+    encloses only component j, and 2*pi*s around the source alone.
     """
-    theta = 2.0 * np.pi * np.arange(nnodes) / nnodes
+    theta = 2.0 * np.pi * np.arange(512) / 512
     nhat = np.exp(1j * theta)
     z = center + radius * nhat
     grad = eval_gradient(solution.expansion, z)
     integrand = (np.conj(grad) * nhat).real
-    return float(integrand.sum() * (2.0 * np.pi * radius / nnodes))
+    return float(integrand.sum() * (2.0 * np.pi * radius / 512))

@@ -33,17 +33,11 @@ from laplace_series.solver import assemble_system, solve_with_log_sum
 
 def _copy(exp, vector=None):
     return Expansion(exp.components, exp.spec, exp.vector if vector is None else vector,
-                     exp.source, exp.source_strength)
+                     exp.source)
 
 
-def source_only(strength=1.0, at=0j):
-    return Expansion(
-        components=(),
-        spec=ExpansionSpec(degrees=()),
-        vector=[0.0],
-        source=at,
-        source_strength=strength,
-    )
+def source_only():
+    return Expansion(components=(), spec=ExpansionSpec(degrees=()), vector=[0.0], source=0j)
 
 
 def test_row_length_one_disk():
@@ -193,7 +187,7 @@ def test_eval_rejects_on_slit():
     spec = ExpansionSpec(degrees=(2,))
     exp = Expansion(
         components=comps, spec=spec, vector=[0.0, -1.0, 0.0, 0.0, 0.0, 0.0],
-        source=0j, source_strength=1.0,
+        source=0j,
     )
     with pytest.raises(DomainError):
         eval_expansion(exp, 2.5 + 0j)
@@ -203,7 +197,7 @@ def test_derivative_rejects_disk_center():
     comps = (disk(1 + 1j, 0.5),)
     exp = Expansion(
         components=comps, spec=ExpansionSpec(degrees=(1,)), vector=[0.0, -1.0, 0.3, 0.0],
-        source=0j, source_strength=1.0,
+        source=0j,
     )
     with pytest.raises(DomainError):
         complex_derivative(exp, 1 + 1j)
@@ -215,7 +209,7 @@ def test_eval_rejects_disk_center(degree):
     comps = (disk(1 + 1j, 0.5),)
     exp = Expansion(
         components=comps, spec=ExpansionSpec(degrees=(degree,)),
-        vector=[0.0, -1.0] + [0.3, 0.1] * degree, source=0j, source_strength=1.0,
+        vector=[0.0, -1.0] + [0.3, 0.1] * degree, source=0j,
     )
     for z in (1 + 1j, np.array([3 + 0j, 1 + 1j])):
         with pytest.raises(DomainError, match="component center"):
@@ -302,8 +296,9 @@ def test_expansion_rejects_nonfinite_coefficients():
             vec[slot] = bad
             with pytest.raises(ValueError, match="finite"):
                 Expansion(comps, spec, vec)
-    with pytest.raises(ValueError, match="finite"):
-        Expansion(comps, spec, [0.0] * 6, source_strength=math.nan)
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Expansion(comps, spec, [0.0] * 6, source=bad)
     for wrong in ([0.0] * 5, [0.0] * 7, [[0.0] * 6], 0.0):
         with pytest.raises(ValueError, match="6 columns"):
             Expansion(comps, spec, wrong)
@@ -317,12 +312,12 @@ def test_vector_round_trip(three_disks):
     A, b = assemble_system(prob, exp.spec, npts)
     x = solve_with_log_sum(A, b, len(prob.components), -1.0)
     assert np.array_equal(exp.vector, x)
-    again = Expansion(exp.components, exp.spec, exp.vector, exp.source, exp.source_strength)
+    again = Expansion(exp.components, exp.spec, exp.vector, exp.source)
     assert again == exp and hash(again) == hash(exp)
     vec = exp.vector.copy()
     vec[-1] = np.nextafter(vec[-1], np.inf)
-    assert Expansion(exp.components, exp.spec, vec, exp.source, exp.source_strength) != exp
-    assert Expansion(exp.components, exp.spec, exp.vector, exp.source, 0.5) != exp
+    assert Expansion(exp.components, exp.spec, vec, exp.source) != exp
+    assert Expansion(exp.components, exp.spec, exp.vector, exp.source + 0.5) != exp
 
 
 def test_vector_is_read_only_and_owned():

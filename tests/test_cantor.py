@@ -33,22 +33,22 @@ PAPER_TABLES = {
 
 
 def test_level_one_intervals():
-    level = cantor_components(1)
-    got = [(s.center.real, s.halfspan.real) for s in level.slits]
+    slits = cantor_components(1)
+    got = [(s.center.real, s.halfspan.real) for s in slits]
     assert got == [(-1.0, 0.5), (1.0, 0.5)]
 
 
 def test_level_two_intervals():
-    level = cantor_components(2)
-    ends = [(s.center.real - s.halfspan.real, s.center.real + s.halfspan.real) for s in level.slits]
+    slits = cantor_components(2)
+    ends = [(s.center.real - s.halfspan.real, s.center.real + s.halfspan.real) for s in slits]
     want = [(-1.5, -7 / 6), (-5 / 6, -0.5), (0.5, 5 / 6), (7 / 6, 1.5)]
     assert all(abs(a - c) < 1e-15 and abs(b - d) < 1e-15 for (a, b), (c, d) in zip(ends, want))
 
 
 def test_level_five_count_and_length():
-    level = cantor_components(5)
-    assert len(level.slits) == 32
-    assert all(abs(2 * s.halfspan.real - 3.0 ** (-4)) < 1e-16 for s in level.slits)
+    slits = cantor_components(5)
+    assert len(slits) == 32
+    assert all(abs(2 * s.halfspan.real - 3.0 ** (-4)) < 1e-16 for s in slits)
 
 
 def test_exact_ternary_endpoints():
@@ -57,9 +57,9 @@ def test_exact_ternary_endpoints():
     # 3^(1-m) long.  Stored as center and halfspan, every endpoint of every
     # piece comes back within one rounding of the exact value.
     m = 6
-    level = cantor_components(m)
-    assert level.slits[0].center.real - level.slits[0].halfspan.real == -1.5
-    for k, piece in enumerate(level.slits):
+    slits = cantor_components(m)
+    assert slits[0].center.real - slits[0].halfspan.real == -1.5
+    for k, piece in enumerate(slits):
         bits = [(k >> (m - i)) & 1 for i in range(1, m + 1)]
         a = Fraction(-3, 2) + 3 * sum(Fraction(2 * b, 3**i) for i, b in enumerate(bits, 1))
         b = a + Fraction(1, 3 ** (m - 1))
@@ -76,7 +76,7 @@ def test_centers_and_halfspans_are_correctly_rounded():
         intervals = [
             piece for a, b in intervals for piece in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))
         ]
-        slits = cantor_components(m).slits
+        slits = cantor_components(m)
         assert len(slits) == len(intervals) == 2**m
         for s, (a, b) in zip(slits, intervals):
             assert s.center.real.hex() == float((a + b) / 2).hex()
@@ -168,7 +168,7 @@ def test_levels_beyond_memory_fail_up_front():
         assert _traced_peak(refuse, m, False, "use_symmetry=True reaches 12$") < 2**20
     for use_symmetry in (False, True):
         assert _traced_peak(refuse, 13, use_symmetry, r"level must be in 1\.\.12") < 2**20
-    assert len(cantor_components(12).slits) == 4096
+    assert len(cantor_components(12)) == 4096
 
 
 def test_level_twelve_takes_the_symmetric_fold(monkeypatch, tmp_path):

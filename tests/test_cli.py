@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from laplace_series import ExpansionSpec, Problem, default_spec, default_window, disk, slit
+from laplace_series import ExpansionSpec, Problem, cli, default_spec, default_window, disk, slit
 from laplace_series.cli import (
     ConfigError,
     _load_config,
@@ -234,6 +234,48 @@ def test_bounded_degree_follows_default_spec(tmp_path):
     path.write_text(ANNULUS.replace("DEGREE", "3"))
     args = argparse.Namespace(config=str(path), degree=6, npts=None, no_scale=False)
     assert _load_config(args).spec == default_spec(cfg.problem, 6)
+
+
+# flags (--degree, --npts, --no-scale), the config's keys, and the keys the
+# flags stand for: --degree without --npts drops the config's npts.
+FLAG_CASES = {
+    "degree-over-list": ((6, None, False), {"degree": [7, 5]}, {"degree": 6, "npts": None}),
+    "degree-over-npts": ((6, None, False), {"npts": 90}, {"degree": 6, "npts": None}),
+    "npts-alone": ((None, 70, False), {"degree": [7, 5]}, {"npts": 70}),
+    "no-scale-alone": ((None, None, True), {"npts": [60, 50]}, {"scaled": False}),
+}
+
+
+@pytest.mark.parametrize("flags, keys, edited", FLAG_CASES.values(), ids=FLAG_CASES)
+def test_flags_act_as_config_keys(tmp_path, flags, keys, edited):
+    doc = {**json.loads(ANNULUS.replace("DEGREE", "3")), **keys}
+    path = tmp_path / "annulus.json"
+    path.write_text(json.dumps(doc))
+    degree, npts, no_scale = flags
+    args = argparse.Namespace(config=str(path), degree=degree, npts=npts, no_scale=no_scale)
+    assert _load_config(args) == parse_problem_config(json.dumps({**doc, **edited}))
+
+
+@pytest.mark.parametrize("flag, value, key", [("--npts", "0", "npts"), ("--degree", "-1", "degree")])
+def test_bad_flags_are_refused_as_their_keys(tmp_path, capsys, flag, value, key):
+    cfg_path = tmp_path / "disk1.json"
+    cfg_path.write_text(DISK1)
+    assert main(["solve", "--config", str(cfg_path), "-o", str(tmp_path), flag, value]) == 1
+    assert f"error: '{key}' must be an integer >= " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_cli_reports_an_oversized_fit_as_an_error(tmp_path, capsys, monkeypatch):
+    # What numpy raises when a fit matrix cannot be allocated; nothing is
+    # allocated here.
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.19 TiB for an array")
+
+    monkeypatch.setattr(cli, "solve_problem", oversized)
+    cfg_path = tmp_path / "disk1.json"
+    cfg_path.write_text(DISK1)
+    assert main(["eval", "--config", str(cfg_path), "--degree", "100000"]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 1.19 TiB for an array\n"
 
 
 def test_bounded_degree_list_keeps_the_report_format(tmp_path):

@@ -57,7 +57,7 @@ def pure_source():
     prob = Problem(components=(), domain_kind="exterior", source=0j)
     exp = Expansion(
         components=(), spec=ExpansionSpec(degrees=()), vector=[0.0],
-        source=0j, source_strength=1.0,
+        source=0j,
     )
     return Solution(prob, exp, 0.0, FitReport(0, 0, ()))
 
@@ -103,7 +103,7 @@ def test_fan_eps_counts_the_outer_disk():
 
 
 def test_streamline_hits_disk(disk1):
-    # A seed aimed straight at the disk terminates on it, within delta_stop.
+    # A seed aimed straight at the disk terminates on it, within DELTA_STOP.
     direction = (3 + 1j) / abs(3 + 1j)
     line = trace_streamline(disk1, 0.05 * direction)
     assert line.termination == HIT_BOUNDARY
@@ -201,7 +201,7 @@ def test_stage_failures_stay_on_their_line():
     # lines; the other lines get unit ascent directions.
     exp = Expansion(
         components=(slit(2.0, 1.0),), spec=ExpansionSpec(degrees=(2,)),
-        vector=[0.0, -1.0, 0.1, 0.0, 0.0, 0.2], source=0j, source_strength=1.0,
+        vector=[0.0, -1.0, 0.1, 0.0, 0.0, 0.2], source=0j,
     )
     z = np.array([2.5 + 0j, 0.5 + 0.5j, 3.0 + 1e-300j, 0j, -1.0 + 0j])
     status = np.zeros(z.size, dtype=np.int8)
@@ -220,7 +220,7 @@ def test_stage_at_a_disk_center_stays_on_its_line(scaled):
         components=(disk(2.0 + 1j, 0.5), slit(-2.0, 1j)),
         spec=ExpansionSpec(degrees=(2, 2), scaled=scaled),
         vector=[0.0, -0.5, -0.5, 0.1, 0.0, 0.0, 0.05, 0.2, 0.0, 0.0, 0.1],
-        source=0j, source_strength=1.0,
+        source=0j,
     )
     z = np.array([2.0 + 1j, 0.5 + 0.5j, -2.0 + 0.5j, 0j, 1.0 - 2j, 2.0 + 1j])
     status = np.zeros(z.size, dtype=np.int8)
@@ -418,7 +418,42 @@ def _grid_values(solution, window, grid_n):
     U = np.full(Z.shape, np.nan)
     U[mask] = eval_expansion(solution.expansion, Z[mask])
     cell_ok = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
-    return xs, ys, U, cell_ok & ~field._slit_cell_mask(solution.problem, window, grid_n)
+    return xs, ys, U, cell_ok & ~field._slit_cell_mask(solution.problem, xs, ys)
+
+
+def _cells_met(a, b, xs, ys):
+    """Cells of the grid that the closed segment [a, b] meets, by clipping the
+    segment to each closed cell (Liang-Barsky): the reference for
+    _slit_cell_mask."""
+    d = b - a
+    t0, t1 = np.zeros((ys.size - 1, xs.size - 1)), np.ones((ys.size - 1, xs.size - 1))
+    met = np.ones(t0.shape, dtype=bool)
+    for p, q in ((-d.real, a.real - xs[:-1]), (d.real, xs[1:] - a.real),
+                 (-d.imag, a.imag - ys[:-1, None]), (d.imag, ys[1:, None] - a.imag)):
+        q = np.broadcast_to(q, t0.shape)
+        if p == 0.0:
+            met &= q >= 0.0
+        elif p < 0.0:
+            t0 = np.maximum(t0, q / p)
+        else:
+            t1 = np.minimum(t1, q / p)
+    return met & (t0 <= t1)
+
+
+def test_slit_cell_mask_marks_every_cell_a_slit_meets():
+    # This slit crosses cell (row 14, column 8) for 8.8e-4 across a corner,
+    # between samples of the slit taken 8 per grid node.
+    xs = ys = np.linspace(-3.0, 3.0, 40)
+    clipped = slit(-1.8618966793946337 - 1.0290401058277294j,
+                   0.32079993801187684 + 1.1627953693316146j)
+    mask = field._slit_cell_mask(green_problem([clipped], source=2.5 + 2.5j), xs, ys)
+    assert mask[14, 8]
+    assert np.array_equal(mask, _cells_met(*clipped.endpoints, xs, ys))
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        comp = slit(complex(*rng.uniform(-3.5, 3.5, 2)), complex(*rng.uniform(-1.5, 1.5, 2)))
+        mask = field._slit_cell_mask(Problem((comp,), "exterior"), xs, ys)
+        assert np.array_equal(mask, _cells_met(*comp.endpoints, xs, ys))
 
 
 def _all_edge_crossings(U, xs, ys, level):

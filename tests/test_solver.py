@@ -149,7 +149,7 @@ def test_samples_are_not_tested_against_their_own_disk():
 
 
 def test_first_overlapping_pair_is_reported():
-    slits = list(cantor_components(7).slits)
+    slits = list(cantor_components(7))
     slits[77] = slits[76]
     with pytest.raises(GeometryError, match=r"components\[76\] and components\[77\] overlap"):
         green_problem(slits, source=0j)
@@ -622,9 +622,23 @@ def test_empty_problem_is_rejected():
         assemble_system(prob, ExpansionSpec(degrees=()), [])
     with pytest.raises(ValueError, match="nlog=0"):
         solve_with_log_sum(np.ones((4, 2)), np.ones(4), 0, -1.0)
-    bare = Expansion((), ExpansionSpec(degrees=()), [0.0], source=0j, source_strength=1.0)
+    bare = Expansion((), ExpansionSpec(degrees=()), [0.0], source=0j)
     with pytest.raises(ValueError, match="without boundary components"):
         boundary_residual(Solution(prob, bare, 0.0, FitReport(0, 0, ())), 4)
+
+
+def test_problem_rejects_nonfinite_source_and_data():
+    # Caught when the problem is built, not by the solve's finiteness check.
+    comps = (disk(3 + 1j, 1.0), disk(-3.0, 1.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="source point must be finite"):
+            green_problem(comps[:1], source=complex(bad, 0.0))
+        with pytest.raises(ValueError, match="source point must be finite"):
+            green_problem(comps[:1], source=complex(0.0, bad))
+        with pytest.raises(ValueError, match=r"boundary_data\[1\] must be finite"):
+            Problem(comps, "exterior", 0j, (0.0, bad))
+    # Function data is checked where it is sampled.
+    Problem(comps, "exterior", 0j, (0.0, lambda z: z.real))
 
 
 def test_flux_quantization(three_disks):
